@@ -59,36 +59,6 @@ fn bench_crypto(c: &mut Harness) {
     });
 }
 
-fn bench_gcm(c: &mut Harness) {
-    use soteria_crypto::gcm::AesGcm;
-    let gcm = AesGcm::new([3; 16]);
-    let line = [0x42u8; 64];
-    c.bench_function("aes_gcm_line_tag", |b| {
-        b.iter(|| gcm.line_tag(black_box(0x40), black_box(&line), black_box(9)))
-    });
-    let nonce = [1u8; 12];
-    c.bench_function("aes_gcm_seal_64B", |b| {
-        b.iter(|| gcm.seal(black_box(&nonce), b"aad", black_box(&line)))
-    });
-    // The GHASH field multiply itself, dispatch vs. the shifted-table
-    // reference — tracks the PCLMUL path the same way
-    // `aes128_encrypt_block` / `_ref` tracks AES-NI. Chained so each
-    // iteration depends on the last (latency, like Horner's rule).
-    let mut acc: u128 = 0x0123_4567_89ab_cdef_u128 << 64 | 0xfedc_ba98_7654_3210;
-    c.bench_function("ghash", |b| {
-        b.iter(|| {
-            acc = gcm.mul_h(black_box(acc) ^ 1);
-            acc
-        })
-    });
-    c.bench_function("ghash_ref", |b| {
-        b.iter(|| {
-            acc = gcm.mul_h_table(black_box(acc) ^ 1);
-            acc
-        })
-    });
-}
-
 fn bench_chipkill(c: &mut Harness) {
     let codec = ChipkillCodec::table4();
     let line = [0x5au8; 64];
@@ -379,7 +349,6 @@ fn results_to_json(stats: &[Stats]) -> Json {
 fn main() {
     let mut harness = Harness::new();
     bench_crypto(&mut harness);
-    bench_gcm(&mut harness);
     bench_chipkill(&mut harness);
     bench_rs(&mut harness);
     bench_mdcache(&mut harness);

@@ -108,9 +108,16 @@ pub fn pct(x: f64) -> String {
 /// names a directory (created if missing). Each figure binary writes one
 /// `<name>.csv` alongside its human-readable table.
 pub fn csv_sink(name: &str) -> Option<std::fs::File> {
-    let dir = std::env::var("SOTERIA_CSV").ok()?;
-    std::fs::create_dir_all(&dir).ok()?;
-    std::fs::File::create(std::path::Path::new(&dir).join(format!("{name}.csv"))).ok()
+    let dir = std::env::var_os("SOTERIA_CSV");
+    csv_sink_in(dir.as_deref().map(std::path::Path::new), name)
+}
+
+/// [`csv_sink`] with the directory passed explicitly: `None` disables
+/// the sink.
+pub fn csv_sink_in(dir: Option<&std::path::Path>, name: &str) -> Option<std::fs::File> {
+    let dir = dir?;
+    std::fs::create_dir_all(dir).ok()?;
+    std::fs::File::create(dir.join(format!("{name}.csv"))).ok()
 }
 
 #[cfg(test)]
@@ -140,18 +147,15 @@ mod tests {
 
     #[test]
     fn csv_sink_disabled_without_env() {
-        std::env::remove_var("SOTERIA_CSV");
-        assert!(csv_sink("nope").is_none());
+        assert!(csv_sink_in(None, "nope").is_none());
     }
 
     #[test]
     fn csv_sink_writes_when_enabled() {
         use std::io::Write;
-        let dir = std::env::temp_dir().join("soteria_csv_test");
-        std::env::set_var("SOTERIA_CSV", &dir);
-        let mut f = csv_sink("probe").expect("sink");
+        let dir = std::env::temp_dir().join(format!("soteria_csv_test_{}", std::process::id()));
+        let mut f = csv_sink_in(Some(&dir), "probe").expect("sink");
         writeln!(f, "a,b").unwrap();
-        std::env::remove_var("SOTERIA_CSV");
         let content = std::fs::read_to_string(dir.join("probe.csv")).unwrap();
         assert_eq!(content, "a,b\n");
     }

@@ -512,9 +512,9 @@ impl SecureMemoryController {
     /// replaying an *older* block can never match — and the exact
     /// counter is tried first, so healthy paths never pay the trial.
     fn verify_meta(&mut self, meta: MetaId, bytes: &[u8; 64], parent_counter: u64) -> Option<u64> {
-        let Some(mac) = self.mac.clone() else {
+        if self.mac.is_none() {
             return Some(parent_counter);
-        };
+        }
         let addr = self.layout.meta_addr(meta);
         if meta.level == 1 {
             let (line, off) = self.layout.leaf_mac_slot(meta.index);
@@ -524,6 +524,7 @@ impl SecureMemoryController {
             if stored == 0 && bytes.iter().all(|&b| b == 0) {
                 return Some(parent_counter); // never written back: fresh leaf
             }
+            let mac = self.functional_mac();
             [parent_counter, parent_counter + 1]
                 .into_iter()
                 .find(|&c| mac.counter_block_mac(addr.byte_addr(), bytes, c) == stored)
@@ -532,6 +533,7 @@ impl SecureMemoryController {
             if node.mac() == 0 && node.counters().iter().all(|&c| c == 0) {
                 return Some(parent_counter); // fresh node
             }
+            let mac = self.functional_mac();
             [parent_counter, parent_counter + 1]
                 .into_iter()
                 .find(|&c| {
@@ -787,7 +789,7 @@ impl SecureMemoryController {
         //    joins the child's atomic group (a separate push could land
         //    without the block, tearing the leaf).
         let mut group: Vec<(LineAddr, [u8; 64], WriteCategory)> = Vec::new();
-        if let Some(mac) = self.mac.clone() {
+        if let Some(mac) = &self.mac {
             if meta.level == 1 {
                 let tag = mac.counter_block_mac(addr.byte_addr(), &bytes, new_parent_counter);
                 let (line, off) = self.layout.leaf_mac_slot(meta.index);
@@ -1059,27 +1061,10 @@ impl SecureMemoryController {
 
         // Stage the transaction: leaf overlays (counter bumps) and the
         // atomic write group, without touching durable or cached state.
-        //
-        // The per-write chain is software-pipelined: iteration k stages
-        // write k's ciphertext and MAC-line image, then computes the
-        // *previous* write's data MAC and patches its 8-byte slot in the
-        // already-staged image. The MAC is pure compute (no NVM access),
-        // so deferring it changes neither the NVM event order nor the
-        // staged bytes — but it puts write k's AES keystream and write
-        // k-1's SHA compressions side by side with no data dependency,
-        // so the two units overlap instead of serialising per write.
         let mut leaves = std::mem::take(&mut self.scratch.leaves);
         leaves.clear();
         let mut staged = std::mem::take(&mut self.scratch.staged);
         staged.clear();
-        struct PendingTag {
-            addr: DataAddr,
-            ciphertext: [u8; 64],
-            counter: u64,
-            mac_line: LineAddr,
-            off: usize,
-        }
-        let mut pending: Option<PendingTag> = None;
         for &(addr, data) in writes {
             let leaf = self.layout.counter_block_of(addr);
             let slot = self.layout.counter_slot_of(addr);
@@ -1142,41 +1127,24 @@ impl SecureMemoryController {
                 None => data,
             };
             stage_line(&mut staged, line_addr, ciphertext, WriteCategory::Cipher);
-            // Data-MAC line: stage the line image now so later writes
-            // sharing it read *through* the staged overlay; the 8-byte
-            // tag slot is patched one iteration later (pipeline above).
+            // Data-MAC line: stage the line image (later writes sharing
+            // it read *through* the staged overlay) and patch this
+            // write's 8-byte tag slot; patching in write order keeps
+            // last-write-wins on shared slots.
             let (mac_line, off) = self.layout.data_mac_slot(addr);
-            if !staged.iter().any(|(a, _, _)| *a == mac_line) {
-                let (bytes, outcome) = self.nvm_read(mac_line);
-                if !outcome.is_usable() {
-                    return Err(MemoryError::DataUncorrectable { addr });
+            let tag = self.data_mac_of(addr, &ciphertext, counter).max(1);
+            let mac_image = match staged.iter().position(|(a, _, _)| *a == mac_line) {
+                Some(i) => i,
+                None => {
+                    let (bytes, outcome) = self.nvm_read(mac_line);
+                    if !outcome.is_usable() {
+                        return Err(MemoryError::DataUncorrectable { addr });
+                    }
+                    stage_line(&mut staged, mac_line, bytes, WriteCategory::DataMac);
+                    staged.len() - 1
                 }
-                stage_line(&mut staged, mac_line, bytes, WriteCategory::DataMac);
-            }
-            if let Some(job) = pending.take() {
-                let tag = self.data_mac_of(job.addr, &job.ciphertext, job.counter).max(1);
-                // The job's MAC line was staged in the iteration that
-                // created it, so the lookup always hits; patching in
-                // write order keeps last-write-wins on shared slots.
-                if let Some((_, bytes, _)) = staged.iter_mut().find(|(a, _, _)| *a == job.mac_line)
-                {
-                    bytes[job.off..job.off + 8].copy_from_slice(&tag.to_le_bytes());
-                }
-            }
-            pending = Some(PendingTag {
-                addr,
-                ciphertext,
-                counter,
-                mac_line,
-                off,
-            });
-        }
-        // Drain the pipeline: the last write's tag is still pending.
-        if let Some(job) = pending.take() {
-            let tag = self.data_mac_of(job.addr, &job.ciphertext, job.counter).max(1);
-            if let Some((_, bytes, _)) = staged.iter_mut().find(|(a, _, _)| *a == job.mac_line) {
-                bytes[job.off..job.off + 8].copy_from_slice(&tag.to_le_bytes());
-            }
+            };
+            staged[mac_image].1[off..off + 8].copy_from_slice(&tag.to_le_bytes());
         }
         // Shadow entries for the final staged leaf images ride in the
         // same group (Lazy / lazily-tracked levels only).

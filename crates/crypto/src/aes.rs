@@ -5,7 +5,9 @@
 //! * The **hardware path** (AES-NI on x86-64, selected by a one-time
 //!   CPUID probe at key-schedule time) — one `aesenc`/`aesdec` per
 //!   round; [`Aes128::encrypt_blocks4`] pipelines four independent
-//!   blocks (the CTR pad shape) through the AES units.
+//!   blocks (the CTR pad shape) through the AES units, and
+//!   `Aes128::cbc_mac` runs a whole CMAC chain with the round keys
+//!   held in registers.
 //! * The **T-table path** ([`Aes128::encrypt_block_table`] /
 //!   [`Aes128::decrypt_block_table`]) — the portable fast path and the
 //!   fallback when AES-NI is absent. SubBytes, ShiftRows and MixColumns
@@ -217,7 +219,7 @@ fn aesni_available() -> bool {
 mod ni {
     use core::arch::x86_64::{
         __m128i, _mm_aesdec_si128, _mm_aesdeclast_si128, _mm_aesenc_si128, _mm_aesenclast_si128,
-        _mm_loadu_si128, _mm_storeu_si128, _mm_xor_si128,
+        _mm_loadu_si128, _mm_setzero_si128, _mm_storeu_si128, _mm_xor_si128,
     };
 
     use super::NR;
@@ -337,6 +339,33 @@ mod ni {
         }
         let k = load(&round_keys[NR]);
         core::array::from_fn(|i| store(_mm_aesenclast_si128(b[i], k)))
+    }
+
+    /// CBC-MAC chain `X_i = E(X_{i-1} ^ M_i)` from `X_0 = 0`: the round
+    /// keys are loaded into registers once for the whole chain, so each
+    /// block costs one XOR and ten dependent `aesenc`s.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AES-NI (see [`super::aesni_available`]).
+    // SAFETY: unsafe solely for `#[target_feature(enable = "aes")]`;
+    // every caller dispatches through the `is_x86_feature_detected!`
+    // CPUID probe cached in `super::aesni_available` (`use_ni` flag).
+    #[target_feature(enable = "aes")]
+    pub(super) unsafe fn cbc_mac(round_keys: &[[u8; 16]; NR + 1], blocks: &[[u8; 16]]) -> [u8; 16] {
+        let mut k = [_mm_setzero_si128(); NR + 1];
+        for (reg, rk) in k.iter_mut().zip(round_keys) {
+            *reg = load(rk);
+        }
+        let mut x = _mm_setzero_si128();
+        for block in blocks {
+            x = _mm_xor_si128(_mm_xor_si128(x, load(block)), k[0]);
+            for rk in &k[1..NR] {
+                x = _mm_aesenc_si128(x, *rk);
+            }
+            x = _mm_aesenclast_si128(x, k[NR]);
+        }
+        store(x)
     }
 
     /// # Safety
@@ -479,10 +508,30 @@ impl Aes128 {
         core::array::from_fn(|i| self.encrypt_block_table(&blocks[i]))
     }
 
+    /// CBC-MAC over `blocks` with a zero IV: the final chaining value
+    /// `X_n`, where `X_i = E(X_{i-1} ^ M_i)`. This is the AES-CMAC core
+    /// (RFC 4493); the caller folds the CMAC subkey into the last block.
+    /// The hardware path keeps the round keys in registers across the
+    /// whole chain.
+    pub(crate) fn cbc_mac(&self, blocks: &[[u8; 16]]) -> [u8; 16] {
+        #[cfg(target_arch = "x86_64")]
+        if self.use_ni {
+            // SAFETY: as in `encrypt_block`.
+            return unsafe { ni::cbc_mac(&self.round_keys, blocks) };
+        }
+        let mut x = [0u8; 16];
+        for block in blocks {
+            for (xb, mb) in x.iter_mut().zip(block) {
+                *xb ^= mb;
+            }
+            x = self.encrypt_block_table(&x);
+        }
+        x
+    }
+
     /// Forces the portable T-table path regardless of CPU features, so
     /// tests can pin hardware output against the software paths.
-    #[cfg(test)]
-    fn force_software(mut self) -> Self {
+    pub(crate) fn force_software(mut self) -> Self {
         self.use_ni = false;
         self
     }

@@ -7,19 +7,17 @@
 //! stand-in: a from-scratch, dependency-free implementation of
 //!
 //! * [`aes`] — the AES-128 block cipher (FIPS-197),
-//! * [`sha256`] — SHA-256 (FIPS 180-4),
-//! * [`hmac`] — HMAC-SHA-256 (RFC 2104),
+//! * [`sha256`] — SHA-256 (FIPS 180-4), the hash of the shadow Merkle tree,
 //! * [`ctr`] — counter-mode one-time-pad generation for 64-byte memory
 //!   lines, seeded from a per-line encryption counter and the line address,
-//! * [`gcm`] — AES-GCM authenticated encryption (the engine the paper's
-//!   footnote 1 names), validated against the SP 800-38D vectors,
 //! * [`mac`] — the truncated 64-bit authentication tags that secure-memory
 //!   designs attach to data lines and integrity-tree nodes.
 //!
-//! The paper uses AES-GCM-style authenticated encryption; we substitute a
-//! truncated HMAC-SHA-256 tag with the same interface contract (64-bit tag
-//! bound to address + payload + freshness counter). See `DESIGN.md` for the
-//! substitution rationale.
+//! The paper's controller uses an AES-GCM-class engine for its MACs; we
+//! use AES-CMAC (RFC 4493) truncated to 64 bits, built on the same AES
+//! core as the counter-mode cipher, with the same interface contract
+//! (64-bit tag bound to address + payload + freshness counter). See
+//! `DESIGN.md` for the substitution rationale.
 //!
 //! # Example
 //!
@@ -36,8 +34,6 @@
 
 pub mod aes;
 pub mod ctr;
-pub mod gcm;
-pub mod hmac;
 pub mod mac;
 pub mod sha256;
 

@@ -1,7 +1,7 @@
 //! SHA-256 (FIPS 180-4), implemented from scratch.
 //!
-//! Used as the compression primitive behind [`crate::hmac`] and therefore
-//! behind every MAC in the secure-memory model.
+//! Hashes the Anubis shadow Merkle tree and derives the MAC engine's
+//! AES key from the 256-bit [`crate::MacKey`].
 //!
 //! Two bit-identical compression paths share the FIPS-180 framing code:
 //! the portable scalar schedule/rounds loop, and a SHA-NI path
@@ -229,7 +229,7 @@ impl Sha256 {
     }
 
     /// Serializes a compression state to the big-endian digest bytes.
-    pub(crate) fn state_bytes(state: &[u32; 8]) -> [u8; 32] {
+    fn state_bytes(state: &[u32; 8]) -> [u8; 32] {
         let mut out = [0u8; 32];
         for (i, word) in state.iter().enumerate() {
             out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
@@ -237,26 +237,13 @@ impl Sha256 {
         out
     }
 
-    /// The raw compression state, valid only when no partial block is
-    /// buffered (e.g. an HMAC midstate right after the key block).
-    pub(crate) fn block_aligned_state(&self) -> [u32; 8] {
-        debug_assert_eq!(self.buffer_len, 0, "state read mid-block");
-        self.state
-    }
-
-    /// Whether this hasher dispatches to the SHA-NI compression.
-    pub(crate) fn uses_ni(&self) -> bool {
-        self.use_ni
-    }
-
     /// One dispatched compression over a caller-held state — the
-    /// primitive behind the block-aligned fast paths ([`Sha256::digest64`],
-    /// [`crate::hmac::HmacSha256::tag_header64`]).
-    pub(crate) fn compress_raw(state: &mut [u32; 8], block: &[u8; 64], use_ni: bool) {
+    /// primitive behind the block-aligned [`Sha256::digest64`].
+    fn compress_raw(state: &mut [u32; 8], block: &[u8; 64], use_ni: bool) {
         #[cfg(target_arch = "x86_64")]
         if use_ni {
-            // SAFETY: callers obtain `use_ni` from `shani_available` /
-            // `uses_ni`, both rooted in the cached CPUID probe.
+            // SAFETY: callers obtain `use_ni` from `shani_available`,
+            // the cached CPUID probe.
             unsafe { ni::compress(state, block) };
             return;
         }
@@ -312,9 +299,9 @@ impl Sha256 {
     ///
     /// Padding is written directly into the block buffer (one or two
     /// compressions, depending on where the length words land) instead of
-    /// dribbling zero bytes through `update` one at a time — for the
-    /// fixed-size MAC inputs in this codebase the whole padded tail is a
-    /// single pre-laid-out compression.
+    /// dribbling zero bytes through `update` one at a time — for short
+    /// fixed-size inputs the whole padded tail is a single pre-laid-out
+    /// compression.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
         self.buffer[self.buffer_len] = 0x80;

@@ -135,12 +135,14 @@ impl std::fmt::Display for Violation {
 /// D1 timing allowlist: the only non-test code allowed to read wall
 /// clocks or sleep. `rt::bench` and the `rt::obs` timers measure real
 /// time by design (and are quarantined from deterministic snapshots);
-/// the service and CLI own socket deadlines and poll timeouts.
-const D1_ALLOWED: [&str; 4] = [
+/// the service and CLI own socket deadlines and poll timeouts;
+/// `perfbench` is a timing harness like `rt::bench`.
+const D1_ALLOWED: [&str; 5] = [
     "crates/rt/src/bench.rs",
     "crates/rt/src/obs.rs",
     "crates/svc/src/",
     "crates/cli/src/",
+    "perfbench/src/",
 ];
 
 /// D2 scope: crates whose state feeds deterministic snapshots, campaign

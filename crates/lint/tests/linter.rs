@@ -42,10 +42,27 @@ fn d1_allowlist_exempts_rt_bench_and_svc() {
         "crates/rt/src/obs.rs",
         "crates/svc/src/server.rs",
         "crates/cli/src/main.rs",
+        "perfbench/src/kv.rs",
     ] {
         let vs = lint_rust_source(rel, src);
         assert_eq!(count(&vs, Rule::D1), 0, "{rel} should be allowlisted");
     }
+}
+
+#[test]
+fn perfbench_is_exempt_from_d1_only() {
+    // The benchmark harness may read clocks, but every other rule in
+    // scope for it still fires.
+    let vs = lint_rust_source(
+        "perfbench/src/fixture.rs",
+        include_str!("fixtures/d3_hits.rs"),
+    );
+    assert_eq!(count(&vs, Rule::D3), 4, "{vs:?}");
+    let vs = lint_rust_source(
+        "perfbench/src/fixture.rs",
+        include_str!("fixtures/u1_unsafe.rs"),
+    );
+    assert_eq!(count(&vs, Rule::U1), 1, "{vs:?}");
 }
 
 #[test]

@@ -187,33 +187,6 @@ fn devices_agree_on_random_fault_sets() {
 }
 
 #[test]
-fn gcm_seal_open_roundtrips() {
-    check(
-        "gcm_seal_open_roundtrips",
-        &cfg(64),
-        &(
-            array::<_, 16>(any::<u8>()),
-            array::<_, 12>(any::<u8>()),
-            vec(any::<u8>(), 0..40usize),
-            vec(any::<u8>(), 0..100usize),
-        ),
-        |(key, nonce, aad, plaintext)| {
-            use soteria_suite::soteria_crypto::gcm::AesGcm;
-            let gcm = AesGcm::new(*key);
-            let (ct, tag) = gcm.seal(nonce, aad, plaintext);
-            prop_assert_eq!(ct.len(), plaintext.len());
-            let back = gcm.open(nonce, aad, &ct, &tag);
-            prop_assert_eq!(back, Some(plaintext.clone()));
-            // Any tag flip must be rejected.
-            let mut bad_tag = tag;
-            bad_tag[0] ^= 1;
-            prop_assert!(gcm.open(nonce, aad, &ct, &bad_tag).is_none());
-            Ok(())
-        },
-    );
-}
-
-#[test]
 fn sha256_dispatch_matches_portable() {
     // The SHA-NI fast path must be bit-identical to the portable
     // compression across arbitrary content and every length class
@@ -232,29 +205,35 @@ fn sha256_dispatch_matches_portable() {
 }
 
 #[test]
-fn ghash_clmul_matches_table_reference() {
-    // The PCLMUL GHASH multiply (and the aggregated 4-block path inside
-    // `seal`) must agree with the shifted-table reference built from
-    // `mul_alpha`, for arbitrary keys and field elements.
+fn cmac_aesni_matches_ttable() {
+    // The AES-NI CMAC chain must be bit-identical to the portable
+    // T-table path for arbitrary keys, addresses, counters and
+    // payloads, on the fixed 80-byte tag shape and on the generic
+    // (K2-padded) shape a short shadow payload takes.
     check(
-        "ghash_clmul_matches_table_reference",
+        "cmac_aesni_matches_ttable",
         &cfg(64),
         &(
-            array::<_, 16>(any::<u8>()),
-            (any::<u64>(), any::<u64>()),
-            array::<_, 12>(any::<u8>()),
-            vec(any::<u8>(), 0..100usize),
+            array::<_, 32>(any::<u8>()),
+            (0u64..1 << 56, any::<u64>()),
+            array::<_, 64>(any::<u8>()),
+            0usize..64,
         ),
-        |(key, (hi, lo), nonce, plaintext)| {
-            use soteria_suite::soteria_crypto::gcm::AesGcm;
-            let x = (u128::from(*hi) << 64) | u128::from(*lo);
-            let gcm = AesGcm::new(*key);
-            let sw = AesGcm::new(*key).force_software();
-            prop_assert_eq!(gcm.mul_h(x), gcm.mul_h_table(x));
-            prop_assert_eq!(sw.mul_h(x), gcm.mul_h_table(x));
+        |&(key, (addr, counter), payload, short)| {
+            use soteria_suite::soteria_crypto::{mac::MacEngine, MacKey};
+            let hw = MacEngine::new(MacKey::from_bytes(key));
+            let sw = MacEngine::new(MacKey::from_bytes(key)).force_software();
             prop_assert_eq!(
-                gcm.seal(nonce, b"aad", plaintext),
-                sw.seal(nonce, b"aad", plaintext)
+                hw.data_mac(addr, &payload, counter),
+                sw.data_mac(addr, &payload, counter)
+            );
+            prop_assert_eq!(
+                hw.counter_block_mac(addr, &payload, counter),
+                sw.counter_block_mac(addr, &payload, counter)
+            );
+            prop_assert_eq!(
+                hw.shadow_entry_mac(addr, &payload[..short]),
+                sw.shadow_entry_mac(addr, &payload[..short])
             );
             Ok(())
         },
