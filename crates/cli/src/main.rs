@@ -3,11 +3,17 @@
 //! ```text
 //! soteria info                          # configs (Tables 2/3/4), layout math
 //! soteria perf --workload pmemkv --ops 200000 --scheme sac --cores 4
-//! soteria campaign --fit 80 --iters 100000 [--ecc secded] [--tree bmt] [--scrub 24]
-//! soteria compare --iters 512 --ops 2048 # every scheme: UDR + slowdown matrix
+//! soteria campaign --fit 80 --iterations 100000 [--ecc secded] [--tree bmt] [--scrub_hours 24]
+//! soteria compare --iterations 512 --trace_ops 2048 # every scheme: UDR + slowdown matrix
 //! soteria rare --fit 80 --samples 3000  # importance-sampled clone UDR
 //! soteria crash-demo --scheme src [--fault]
 //! ```
+//!
+//! Job commands (`campaign`, `compare`, `crashck`, `submit`, `loadgen`,
+//! `coordinate`) turn every `--key value` that is not one of their own
+//! flags into field `key` of the job's JSON body, and validate that body
+//! with the job's strict parser (`JobSpec::from_kind`) before anything
+//! runs or is sent — the same parser the service and the fleet use.
 
 mod args;
 
@@ -19,10 +25,9 @@ use soteria::clone::CloningPolicy;
 use soteria::recovery::recover;
 use soteria::{DataAddr, SecureMemoryConfig, SecureMemoryController};
 use soteria_faultsim::{
-    cluster_mtbf_hours, estimate_clone_udr, report_json, run_campaign_traced, run_compare,
-    run_crashck, CampaignConfig, CompareConfig, CrashckConfig, STANDARD_POLICIES,
+    cluster_mtbf_hours, estimate_clone_udr, run_spec, sweep_cell, CampaignConfig, JobSpec,
+    STANDARD_POLICIES,
 };
-use soteria_faultsim::job::{parse_ecc, parse_tree};
 use soteria_rt::json::Json;
 use soteria_svc::http::ReadLimits;
 use soteria_svc::{
@@ -54,6 +59,50 @@ const COMMANDS: &[(&str, &str)] = &[
     ("help", "show this command listing"),
 ];
 
+/// The flags each command reads itself, declared once and checked before
+/// the command does anything: its `--key value` options, its bare
+/// switches, and — for a job command — the job kind (`--kind` overrides
+/// it where the command reads that option). A job command turns every
+/// other `--key value` into a field of the job's JSON body; for
+/// `campaign`, `compare` and `crashck` the first two options name the
+/// result and NDJSON artifact paths. A command absent here takes no flag.
+const FLAGS: &[(&str, &str, &str, Option<&str>)] = &[
+    ("perf", "workload ops scheme cores trace", "metrics", None),
+    ("campaign", "json trace", "", Some("campaign")),
+    ("compare", "json ndjson", "", Some("compare")),
+    ("rare", "fit samples", "", None),
+    ("record", "workload ops out", "", None),
+    ("crash-demo", "scheme trace", "fault", None),
+    ("crashck", "json ndjson", "", Some("crashck")),
+    ("trace-validate", "file", "", None),
+    (
+        "serve",
+        "addr workers queue max-body read-timeout-ms port-file",
+        "",
+        None,
+    ),
+    (
+        "submit",
+        "addr out trace-out poll-ms timeout-s",
+        "",
+        Some("campaign"),
+    ),
+    ("http", "addr method path body", "", None),
+    ("loadgen", "addr clients targets", "", Some("campaign")),
+    (
+        "coordinate",
+        "kind addr min-workers chunk register-timeout-s out ndjson port-file",
+        "",
+        Some("campaign"),
+    ),
+    (
+        "worker",
+        "coordinator advertise addr workers queue port-file",
+        "",
+        None,
+    ),
+];
+
 /// The `COMMANDS:` block shown by help and after an unknown command.
 fn command_listing() -> String {
     let mut out = String::from("COMMANDS:\n");
@@ -64,7 +113,7 @@ fn command_listing() -> String {
 }
 
 const OPTION_DETAILS: &str = "\
-OPTIONS (by command):
+OPTIONS (by command; a flag a command does not read is an error):
   perf
       --workload NAME          suite workload (default sps; try `soteria info`)
       --ops N                  memory operations per core (default 100000)
@@ -72,26 +121,29 @@ OPTIONS (by command):
       --cores N                co-running copies (default 1)
       --trace PATH             replay a recorded trace instead of a workload
       --metrics                print a controller metrics snapshot
-  campaign
+  campaign                     (job fields: --key value is field `key` of the
+                                POST /v1/campaigns JSON body)
       --fit F                  FIT per chip (default 80)
-      --iters N                iterations (default 100000)
+      --iterations N           iterations (default 10000, at most 10^7)
       --ecc E                  secded | chipkill | double (default chipkill)
       --tree T                 toc | bmt (default toc)
-      --scrub HOURS            patrol-scrub interval (default: off)
+      --scrub_hours H          patrol-scrub interval (default: off)
       --seed S                 RNG seed, decimal or 0x-hex (default Table 4)
-      --capacity BYTES         protected capacity (default 16 GiB)
       --threads N              worker threads (result & trace are identical
                                for any N; default: all cores)
-      --trace PATH             write a deterministic NDJSON event trace
+      --capacity_bytes BYTES   protected capacity (default 16 GiB)
       --json PATH              write results + metrics snapshot as JSON
-  compare
+      --trace PATH             write the deterministic NDJSON event trace
+  compare                      (job fields: the POST /v1/compare body)
       --fit F                  FIT per chip (default 1500)
-      --iters N                Monte Carlo iterations (default 512)
-      --ops N                  slowdown-trace operations (default 2048)
+      --iterations N           Monte Carlo iterations (default 512, at most
+                               10^6)
       --seed S                 RNG seed, decimal or 0x-hex
-      --capacity BYTES         protected capacity (default 64 MiB)
       --threads N              worker threads (artifacts are byte-identical
                                for any N; default 1)
+      --capacity_bytes BYTES   protected capacity (default 64 MiB, at most
+                               1 GiB)
+      --trace_ops N            slowdown-trace operations (default 2048)
       --json PATH              write the soteria-compare/v1 matrix
       --ndjson PATH            write per-iteration UDR + per-scheme records
   rare
@@ -105,14 +157,14 @@ OPTIONS (by command):
       --scheme S               baseline | src | sac (default src)
       --fault                  inject a 2-chip fault into a counter block
       --trace PATH             write the controller/recovery event trace
-  crashck
+  crashck                      (job fields: the POST /v1/crashck body)
       --seed S                 script-stream seed, decimal or 0x-hex
-      --scripts N              transaction scripts per matrix cell (default 2,
-                               env SOTERIA_CRASHCK_SCRIPTS)
-      --txns N                 max transactions per script (default 6,
-                               env SOTERIA_CRASHCK_TXNS)
-      --writes N               max writes per transaction (default 3,
-                               env SOTERIA_CRASHCK_WRITES)
+      --scripts_per_cell N     transaction scripts per matrix cell (default
+                               2, at most 64)
+      --max_txns N             max transactions per script (default 6, at
+                               most 16)
+      --max_writes N           max writes per transaction (default 3, at
+                               most 8)
       --threads N              worker threads (report is byte-identical
                                for any N; default: all cores)
       --json PATH              write the soteria-crashck/v1 report
@@ -127,10 +179,8 @@ OPTIONS (by command):
       --max-body BYTES         request body limit (default 1048576)
       --read-timeout-ms N      per-connection read timeout (default 5000)
       --port-file PATH         write the bound address for scripts
-  submit                       (campaign options: --fit --iters --ecc --tree
-                                --scrub --seed --threads --capacity; the
-                                server's defaults are Table 4 with 10000
-                                iterations)
+  submit                       (plus the campaign job fields; unset ones
+                                take the same defaults as `campaign`)
       --addr A                 server address (default 127.0.0.1:7787)
       --out PATH               write the result JSON (default: stdout)
       --trace-out PATH         also fetch and write the NDJSON trace
@@ -141,16 +191,14 @@ OPTIONS (by command):
       --method M               request method (default GET)
       --path P                 request path (default /healthz)
       --body JSON              request body (sent as application/json)
-  loadgen                      (campaign options as for submit)
+  loadgen                      (plus the campaign job fields, as for submit)
       --addr A                 server address (default 127.0.0.1:7787)
       --clients N              concurrent submitters (default 16)
       --targets LIST           comma-separated host:port list; clients are
                                fanned out round-robin across the targets
                                (overrides --addr)
-  coordinate                   (job options per --kind: campaign flags as
-                                for submit; compare: --fit --iters --ops
-                                --seed --threads --capacity; crashck:
-                                --seed --scripts --txns --writes --threads)
+  coordinate                   (plus the job fields of --kind, as for the
+                                campaign, compare or crashck command)
       --kind K                 campaign | compare | crashck (default campaign)
       --addr A                 control-plane listen address (default
                                127.0.0.1:7799; port 0 picks an ephemeral one)
@@ -162,10 +210,14 @@ OPTIONS (by command):
       --out PATH               write the merged result JSON (default: stdout)
       --ndjson PATH            write the merged NDJSON artifact
       --port-file PATH         write the bound control address for scripts
-  worker                       (server options as for serve)
+  worker
       --coordinator A          coordinator control-plane address (required)
       --advertise A            address the coordinator should dial back
                                (default: the bound listen address)
+      --addr A                 listen address (default 127.0.0.1:0)
+      --workers N              job worker threads (default 2)
+      --queue N                queued-job capacity before 429 (default 8)
+      --port-file PATH         write the bound address for scripts
 ";
 
 fn usage() -> String {
@@ -213,46 +265,30 @@ fn cmd_info() {
     println!("\n== workloads ==\n  {}", names.join(", "));
 }
 
+/// The suite workload `name` (64 MiB footprint, seeded with `seed`).
+fn suite_workload(name: &str, seed: u64) -> Result<Box<dyn Workload>, String> {
+    let suite = standard_suite(&SuiteConfig {
+        footprint_bytes: 64 << 20,
+        seed,
+    });
+    let names: Vec<&str> = suite.iter().map(|w| w.name()).collect();
+    let err = format!("unknown workload '{name}'; available: {names:?}");
+    suite.into_iter().find(|w| w.name() == name).ok_or(err)
+}
+
 fn cmd_perf(args: &Args) -> Result<(), String> {
     let name = args.get_or("workload", "sps").to_string();
-    let ops = args.get_num("ops", 100_000u64).map_err(|e| e.to_string())?;
-    let cores = args.get_num("cores", 1usize).map_err(|e| e.to_string())?;
+    let ops = args.get_num("ops", 100_000u64)?;
+    let cores = args.get_num("cores", 1usize)?;
     let policy = scheme_of(args.get_or("scheme", "src"))?;
-    let suite_config = SuiteConfig {
-        footprint_bytes: 64 << 20,
-        seed: 0xda7a,
-    };
-    let mut instances: Vec<Box<dyn Workload>> = if let Some(trace_path) = args.get("trace") {
-        (0..cores)
-            .map(|_| {
-                soteria_workloads::trace::ReplayWorkload::open(trace_path)
-                    .map(|w| Box::new(w) as Box<dyn Workload>)
-                    .map_err(|e| format!("trace '{trace_path}': {e}"))
-            })
-            .collect::<Result<_, _>>()?
-    } else {
-        let available: Vec<String> = standard_suite(&suite_config)
-            .iter()
-            .map(|w| w.name().to_string())
-            .collect();
-        if !available.iter().any(|n| n == &name) {
-            return Err(format!(
-                "unknown workload '{name}'; available: {available:?}"
-            ));
-        }
-        (0..cores)
-            .map(|i| {
-                let cfg = SuiteConfig {
-                    footprint_bytes: 64 << 20,
-                    seed: 0xda7a ^ i as u64,
-                };
-                standard_suite(&cfg)
-                    .into_iter()
-                    .find(|w| w.name() == name)
-                    .expect("validated above")
-            })
-            .collect()
-    };
+    let mut instances: Vec<Box<dyn Workload>> = (0..cores)
+        .map(|i| match args.get("trace") {
+            Some(path) => soteria_workloads::trace::ReplayWorkload::open(path)
+                .map(|w| Box::new(w) as Box<dyn Workload>)
+                .map_err(|e| format!("trace '{path}': {e}")),
+            None => suite_workload(&name, 0xda7a ^ i as u64),
+        })
+        .collect::<Result<_, _>>()?;
     let mut system = System::with_cores(SystemConfig::table3(policy, 64 << 20), cores);
     if args.has_flag("metrics") {
         system.controller_mut().enable_obs();
@@ -293,155 +329,176 @@ fn cmd_perf(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_campaign(args: &Args) -> Result<(), String> {
-    let fit = args.get_num("fit", 80.0f64).map_err(|e| e.to_string())?;
-    let iters = args
-        .get_num("iters", 100_000u64)
-        .map_err(|e| e.to_string())?;
-    let mut config = CampaignConfig::table4(fit);
-    config.iterations = iters;
-    config.correctable_chips = parse_ecc(args.get_or("ecc", "chipkill"))?;
-    config.tree = parse_tree(args.get_or("tree", "toc"))?;
-    if let Some(s) = args.get("scrub") {
-        config.scrub_interval_hours =
-            Some(s.parse().map_err(|_| format!("bad scrub interval '{s}'"))?);
+/// A number in a result document (0 when absent).
+fn num(doc: &Json, path: &[&str]) -> f64 {
+    path.iter()
+        .try_fold(doc, |v, key| v.get(key))
+        .and_then(Json::as_f64)
+        .unwrap_or(0.0)
+}
+
+/// A string in a result document ("" when absent).
+fn text<'a>(doc: &'a Json, path: &[&str]) -> &'a str {
+    path.iter()
+        .try_fold(doc, |v, key| v.get(key))
+        .and_then(Json::as_str)
+        .unwrap_or("")
+}
+
+/// `campaign`, `compare` and `crashck`: runs the job through
+/// [`run_spec`] — the runner behind the service and the fleet — prints
+/// a summary of its result, and writes the two artifacts to the paths
+/// the command's first two options name.
+fn cmd_job(args: &Args, name: &str, options: &str, spec: &JobSpec) -> Result<(), String> {
+    let (result, ndjson) = run_spec(spec);
+    let doc = Json::parse(&result).map_err(|e| format!("result JSON: {e}"))?;
+    match name {
+        "campaign" => print_campaign(&doc),
+        "compare" => print_compare(&doc),
+        _ => print_crashck(&doc),
     }
-    if let Some(s) = args.get("seed") {
-        config.seed = parse_seed(s)?;
+    for (flag, bytes) in options.split_whitespace().zip([&result, &ndjson]) {
+        if let Some(path) = args.get(flag) {
+            write_file(path, bytes)?;
+            println!("--{flag} artifact to {path}");
+        }
     }
-    config.capacity_bytes = args
-        .get_num("capacity", config.capacity_bytes)
-        .map_err(|e| e.to_string())?;
-    if let Some(t) = args.get("threads") {
-        config.threads = t
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| format!("bad thread count '{t}'"))?;
+    let divergences = num(&doc, &["summary", "divergences"]);
+    if divergences > 0.0 {
+        return Err(format!(
+            "{divergences} crash point(s) violated the atomic-commit contract"
+        ));
     }
-    let trace_path = args.get("trace").map(str::to_string);
-    let json_path = args.get("json").map(str::to_string);
-    config.trace = trace_path.is_some() || json_path.is_some();
+    Ok(())
+}
+
+fn print_campaign(doc: &Json) {
+    let fit = num(doc, &["config", "fit_per_chip"]);
+    let iterations = num(doc, &["config", "iterations"]);
     println!(
-        "FIT {fit}/chip -> 20k-node cluster MTBF {:.1} h | {iters} iterations | 5 years",
+        "FIT {fit}/chip -> 20k-node cluster MTBF {:.1} h | {iterations} iterations | 5 years",
         cluster_mtbf_hours(fit, 20_000, 4, 18)
     );
-    let (results, trace) = run_campaign_traced(&config, &STANDARD_POLICIES);
     println!(
         "{:>9} | {:>12} | {:>12} | {:>14}",
         "scheme", "mean UDR", "L_error", "iters w/ UDR"
     );
     println!("{}", "-".repeat(58));
-    for r in &results {
+    let results = doc.get("results").and_then(Json::as_array).unwrap_or(&[]);
+    for r in results {
         println!(
             "{:>9} | {:>12.3e} | {:>12.3e} | {:>14}",
-            r.policy.name(),
-            r.mean_udr,
-            r.mean_error_ratio,
-            r.iterations_with_udr
+            text(r, &["policy"]),
+            num(r, &["mean_udr"]),
+            num(r, &["mean_error_ratio"]),
+            num(r, &["iterations_with_udr"])
         );
     }
-    println!(
-        "({} of {} iterations saw faults; {} defeated the ECC somewhere)",
-        results[0].iterations_with_faults, results[0].iterations, results[0].iterations_with_ue
-    );
-    if let Some(path) = &trace_path {
-        std::fs::write(path, trace.export_ndjson())
-            .map_err(|e| format!("writing trace '{path}': {e}"))?;
+    if let Some(r) = results.first() {
         println!(
-            "trace: {} events to {path}{}",
-            trace.len(),
-            if trace.dropped() > 0 {
-                format!(" ({} dropped by the ring)", trace.dropped())
-            } else {
-                String::new()
-            }
+            "({} of {iterations} iterations saw faults; {} defeated the ECC somewhere)",
+            num(r, &["iterations_with_faults"]),
+            num(r, &["iterations_with_ue"])
         );
     }
-    if let Some(path) = &json_path {
-        // `report_json` is shared with the service, so these bytes are
-        // identical to `GET /v1/jobs/{id}/result` for the same config.
-        let doc = report_json(&config, &results, &trace);
-        std::fs::write(path, doc.to_pretty_string())
-            .map_err(|e| format!("writing json '{path}': {e}"))?;
-        println!("results + metrics snapshot to {path}");
-    }
-    Ok(())
 }
 
-fn cmd_compare(args: &Args) -> Result<(), String> {
-    let defaults = CompareConfig::default();
-    let mut config = CompareConfig {
-        fit_per_chip: args
-            .get_num("fit", defaults.fit_per_chip)
-            .map_err(|e| e.to_string())?,
-        iterations: args
-            .get_num("iters", defaults.iterations)
-            .map_err(|e| e.to_string())?,
-        trace_ops: args
-            .get_num("ops", defaults.trace_ops)
-            .map_err(|e| e.to_string())?,
-        capacity_bytes: args
-            .get_num("capacity", defaults.capacity_bytes)
-            .map_err(|e| e.to_string())?,
-        ..defaults
-    };
-    if let Some(s) = args.get("seed") {
-        config.seed = parse_seed(s)?;
-    }
-    if let Some(t) = args.get("threads") {
-        config.threads = t
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| format!("bad thread count '{t}'"))?;
-    }
+fn print_compare(doc: &Json) {
     println!(
-        "comparing every registered scheme: FIT {}/chip, {} iterations, \
-         {}-op trace, seed {:#x}",
-        config.fit_per_chip, config.iterations, config.trace_ops, config.seed
+        "compared every registered scheme: FIT {}/chip, {} iterations, {}-op trace, seed {}",
+        num(doc, &["config", "fit_per_chip"]),
+        num(doc, &["config", "iterations"]),
+        num(doc, &["config", "trace_ops"]),
+        text(doc, &["config", "seed"])
     );
-    let out = run_compare(&config);
     println!(
         "{:>10} | {:>8} | {:>9} | {:>7} | {:>12} | {:>9} | {:>8} | {:>12}",
         "scheme", "cloning", "tree", "recov", "mean UDR", "WA", "slowdown", "recovery ns"
     );
     println!("{}", "-".repeat(96));
-    for r in &out.rows {
+    for r in doc.get("schemes").and_then(Json::as_array).unwrap_or(&[]) {
         println!(
             "{:>10} | {:>8} | {:>9} | {:>7} | {:>12.3e} | {:>9.3} | {:>8.3} | {:>12}",
-            r.scheme,
-            r.cloning,
-            r.tree_update,
-            r.recovery,
-            r.mean_udr,
-            r.write_amplification,
-            r.slowdown,
-            r.recovery_est_ns
+            text(r, &["scheme"]),
+            text(r, &["cloning"]),
+            text(r, &["tree_update"]),
+            text(r, &["recovery"]),
+            num(r, &["mean_udr"]),
+            num(r, &["write_amplification"]),
+            num(r, &["slowdown"]),
+            num(r, &["recovery_est_ns"])
         );
     }
     println!(
         "({} of {} iterations saw faults; {} defeated the ECC somewhere)",
-        out.iterations_with_faults, config.iterations, out.iterations_with_ue
+        num(doc, &["summary", "iterations_with_faults"]),
+        num(doc, &["config", "iterations"]),
+        num(doc, &["summary", "iterations_with_ue"])
     );
-    if let Some(path) = args.get("json") {
-        std::fs::write(path, &out.result_json)
-            .map_err(|e| format!("writing json '{path}': {e}"))?;
-        println!("compare matrix to {path}");
+}
+
+/// Prints the crashck summary and, for each divergent sweep, the cell,
+/// seed, crash point, reason and script — plus the trace tail, which
+/// the report does not carry, from a replay of that one sweep.
+fn print_crashck(doc: &Json) {
+    let max_txns = num(doc, &["config", "max_txns"]) as usize;
+    let max_writes = num(doc, &["config", "max_writes"]) as usize;
+    println!(
+        "crashck: TreeUpdate x CloningPolicy x {{anubis,osiris}} matrix, \
+         {} scripts/cell, <= {max_txns} txns x {max_writes} writes, seed {}",
+        num(doc, &["config", "scripts_per_cell"]),
+        text(doc, &["config", "seed"])
+    );
+    println!(
+        "swept {} crash points over {} scripts across {} cells",
+        num(doc, &["summary", "points"]),
+        num(doc, &["summary", "scripts"]),
+        num(doc, &["summary", "cells"])
+    );
+    let sweeps = doc.get("sweeps").and_then(Json::as_array).unwrap_or(&[]);
+    let divergent: Vec<&Json> = sweeps
+        .iter()
+        .filter(|s| s.get("divergent") == Some(&Json::Bool(true)))
+        .collect();
+    if divergent.is_empty() {
+        println!("every crash point observed a prefix of committed transactions: OK");
     }
-    if let Some(path) = args.get("ndjson") {
-        std::fs::write(path, &out.ndjson)
-            .map_err(|e| format!("writing ndjson '{path}': {e}"))?;
-        println!("per-iteration records to {path}");
+    for sweep in divergent {
+        let (tree, recovery) = (text(sweep, &["tree_update"]), text(sweep, &["recovery"]));
+        let seed = text(sweep, &["seed"]);
+        let replay = STANDARD_POLICIES
+            .iter()
+            .find(|p| p.name() == text(sweep, &["cloning"]))
+            .zip(soteria_faultsim::job::parse_u64(seed))
+            .and_then(|(policy, seed)| {
+                sweep_cell(tree, policy, recovery, seed, max_txns, max_writes).1
+            });
+        eprintln!(
+            "DIVERGENCE cell {tree}/{}/{recovery} seed {seed} point {}: {}\n  script: {}\n\
+             -- trace tail --\n{}",
+            text(sweep, &["cloning"]),
+            num(sweep, &["divergence_point"]),
+            text(sweep, &["divergence_reason"]),
+            text(sweep, &["script"]),
+            replay.map_or(String::new(), |d| d.trace_tail)
+        );
     }
+}
+
+fn cmd_record(args: &Args) -> Result<(), String> {
+    let name = args.get_or("workload", "sps").to_string();
+    let ops = args.get_num("ops", 100_000u64)?;
+    let default_out = format!("{name}.trace");
+    let out = args.get_or("out", &default_out).to_string();
+    let mut w = suite_workload(&name, 0xda7a)?;
+    soteria_workloads::trace::record(w.as_mut(), ops, &out).map_err(|e| e.to_string())?;
+    println!("recorded {ops} ops of {name} to {out}");
     Ok(())
 }
 
 fn cmd_rare(args: &Args) -> Result<(), String> {
-    let fit = args.get_num("fit", 80.0f64).map_err(|e| e.to_string())?;
-    let samples = args
-        .get_num("samples", 3000u64)
-        .map_err(|e| e.to_string())?;
+    let fit = args.get_num("fit", 80.0f64)?;
+    let samples = args.get_num("samples", 3000u64)?;
     let config = CampaignConfig::table4(fit);
     let results = estimate_clone_udr(
         &config,
@@ -540,84 +597,10 @@ fn cmd_crash_demo(args: &Args) -> Result<(), String> {
         // file spans pre-crash writes, recovery, and readback.
         let ndjson = memory.export_trace_ndjson();
         let events = ndjson.lines().count();
-        std::fs::write(path, ndjson).map_err(|e| format!("writing trace '{path}': {e}"))?;
+        write_file(path, ndjson)?;
         println!("trace: {events} events to {path}");
     }
     Ok(())
-}
-
-/// A bound for `crashck`, resolved flag > env knob > built-in default —
-/// the env knobs let CI pick smoke vs nightly scale without editing the
-/// workflow's command line.
-fn crashck_bound(args: &Args, flag: &str, env_key: &str, default: usize) -> Result<usize, String> {
-    if let Some(v) = args.get(flag) {
-        return v
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| format!("bad {flag} '{v}'"));
-    }
-    match std::env::var(env_key) {
-        Ok(v) => v
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| format!("bad {env_key} '{v}'")),
-        Err(_) => Ok(default),
-    }
-}
-
-fn cmd_crashck(args: &Args) -> Result<(), String> {
-    let mut config = CrashckConfig::default();
-    if let Some(s) = args.get("seed") {
-        config.seed = parse_seed(s)?;
-    }
-    config.scripts_per_cell =
-        crashck_bound(args, "scripts", "SOTERIA_CRASHCK_SCRIPTS", config.scripts_per_cell)?;
-    config.max_txns = crashck_bound(args, "txns", "SOTERIA_CRASHCK_TXNS", config.max_txns)?;
-    config.max_writes = crashck_bound(args, "writes", "SOTERIA_CRASHCK_WRITES", config.max_writes)?;
-    config.threads = match args.get("threads") {
-        Some(t) => t
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| format!("bad thread count '{t}'"))?,
-        None => std::thread::available_parallelism().map_or(1, |n| n.get()),
-    };
-    println!(
-        "crashck: TreeUpdate x CloningPolicy x {{anubis,osiris}} matrix, \
-         {} scripts/cell, <= {} txns x {} writes, seed {:#x}",
-        config.scripts_per_cell, config.max_txns, config.max_writes, config.seed
-    );
-    let out = run_crashck(&config);
-    println!(
-        "swept {} crash points over {} scripts across {} cells",
-        out.points, out.scripts, out.cells
-    );
-    if let Some(path) = args.get("json") {
-        std::fs::write(path, &out.result_json)
-            .map_err(|e| format!("writing json '{path}': {e}"))?;
-        println!("report to {path}");
-    }
-    if let Some(path) = args.get("ndjson") {
-        std::fs::write(path, &out.ndjson)
-            .map_err(|e| format!("writing ndjson '{path}': {e}"))?;
-        println!("sweep records to {path}");
-    }
-    if out.divergences.is_empty() {
-        println!("every crash point observed a prefix of committed transactions: OK");
-        return Ok(());
-    }
-    for d in &out.divergences {
-        eprintln!(
-            "DIVERGENCE cell {} seed {:#018x} point {}: {}\n  script: {}\n-- trace tail --\n{}",
-            d.cell, d.seed, d.point, d.reason, d.script, d.trace_tail
-        );
-    }
-    Err(format!(
-        "{} crash point(s) violated the atomic-commit contract",
-        out.divergences.len()
-    ))
 }
 
 fn cmd_trace_validate(args: &Args) -> Result<(), String> {
@@ -642,93 +625,9 @@ fn cmd_trace_validate(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Parses a seed given as decimal or `0x`-prefixed hex.
-fn parse_seed(s: &str) -> Result<u64, String> {
-    match s.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => s.parse(),
-    }
-    .map_err(|_| format!("bad seed '{s}' (decimal or 0x-hex)"))
-}
-
-/// Builds a `/v1/campaigns` request body from the campaign flags the
-/// user actually passed — unset fields fall to the server's Table-4
-/// defaults, mirroring `soteria campaign`.
-fn campaign_body(args: &Args) -> Result<Json, String> {
-    let mut fields: Vec<(String, Json)> = Vec::new();
-    let push_num = |key: &str, field: &str, fields: &mut Vec<(String, Json)>| {
-        if let Some(v) = args.get(key) {
-            let n: f64 = v
-                .parse()
-                .map_err(|_| format!("option --{key}: '{v}' is not a valid number"))?;
-            fields.push((field.into(), Json::Num(n)));
-        }
-        Ok::<(), String>(())
-    };
-    push_num("fit", "fit", &mut fields)?;
-    push_num("iters", "iterations", &mut fields)?;
-    push_num("scrub", "scrub_hours", &mut fields)?;
-    push_num("threads", "threads", &mut fields)?;
-    push_num("capacity", "capacity_bytes", &mut fields)?;
-    if let Some(e) = args.get("ecc") {
-        parse_ecc(e)?; // fail here, not server-side
-        fields.push(("ecc".into(), Json::Str(e.into())));
-    }
-    if let Some(t) = args.get("tree") {
-        parse_tree(t)?;
-        fields.push(("tree".into(), Json::Str(t.into())));
-    }
-    if let Some(s) = args.get("seed") {
-        fields.push(("seed".into(), Json::Num(parse_seed(s)? as f64)));
-    }
-    Ok(Json::Obj(fields))
-}
-
-/// Builds a `compare` config body from the flags the user passed, using
-/// the service's field names (`soteria_faultsim::compare_config_from_json`).
-fn compare_body(args: &Args) -> Result<Json, String> {
-    let mut fields: Vec<(String, Json)> = Vec::new();
-    let push_num = |key: &str, field: &str, fields: &mut Vec<(String, Json)>| {
-        if let Some(v) = args.get(key) {
-            let n: f64 = v
-                .parse()
-                .map_err(|_| format!("option --{key}: '{v}' is not a valid number"))?;
-            fields.push((field.into(), Json::Num(n)));
-        }
-        Ok::<(), String>(())
-    };
-    push_num("fit", "fit", &mut fields)?;
-    push_num("iters", "iterations", &mut fields)?;
-    push_num("ops", "trace_ops", &mut fields)?;
-    push_num("threads", "threads", &mut fields)?;
-    push_num("capacity", "capacity_bytes", &mut fields)?;
-    if let Some(s) = args.get("seed") {
-        fields.push(("seed".into(), Json::Num(parse_seed(s)? as f64)));
-    }
-    Ok(Json::Obj(fields))
-}
-
-/// Builds a `crashck` config body from the flags the user passed, using
-/// the service's field names (`soteria_faultsim::crashck_config_from_json`).
-fn crashck_body(args: &Args) -> Result<Json, String> {
-    let mut fields: Vec<(String, Json)> = Vec::new();
-    let push_num = |key: &str, field: &str, fields: &mut Vec<(String, Json)>| {
-        if let Some(v) = args.get(key) {
-            let n: f64 = v
-                .parse()
-                .map_err(|_| format!("option --{key}: '{v}' is not a valid number"))?;
-            fields.push((field.into(), Json::Num(n)));
-        }
-        Ok::<(), String>(())
-    };
-    push_num("scripts", "scripts_per_cell", &mut fields)?;
-    push_num("txns", "max_txns", &mut fields)?;
-    push_num("writes", "max_writes", &mut fields)?;
-    push_num("threads", "threads", &mut fields)?;
-    if let Some(s) = args.get("seed") {
-        fields.push(("seed".into(), Json::Num(parse_seed(s)? as f64)));
-    }
-    Ok(Json::Obj(fields))
+/// Writes an artifact or port file, naming the path on failure.
+fn write_file(path: &str, bytes: impl AsRef<[u8]>) -> Result<(), String> {
+    std::fs::write(path, bytes).map_err(|e| format!("writing '{path}': {e}"))
 }
 
 /// Renders a non-2xx response as the server's one-line error message.
@@ -741,16 +640,28 @@ fn http_failure(resp: &client::HttpResponse) -> String {
     format!("server said HTTP {}: {detail}", resp.status)
 }
 
+/// Binds a job server at `--addr` and writes `--port-file`.
+fn bind_server(args: &Args, default_addr: &str, config: ServerConfig) -> Result<Server, String> {
+    let addr = args.get_or("addr", default_addr);
+    let server = Server::bind(addr, config).map_err(|e| format!("binding '{addr}': {e}"))?;
+    if let Some(path) = args.get("port-file") {
+        write_file(path, format!("{}\n", server.local_addr()))?;
+    }
+    Ok(server)
+}
+
+/// Serves until a drain completes.
+fn serve_until_drained(server: Server) {
+    let handle = server.handle();
+    server.serve();
+    println!("drained: {} job(s) accepted over this run", handle.job_count());
+}
+
 fn cmd_serve(args: &Args) -> Result<(), String> {
-    let addr = args.get_or("addr", "127.0.0.1:7787").to_string();
-    let workers = args.get_num("workers", 2usize).map_err(|e| e.to_string())?;
-    let queue = args.get_num("queue", 8usize).map_err(|e| e.to_string())?;
-    let max_body = args
-        .get_num("max-body", 1024 * 1024usize)
-        .map_err(|e| e.to_string())?;
-    let read_timeout_ms = args
-        .get_num("read-timeout-ms", 5000u64)
-        .map_err(|e| e.to_string())?;
+    let workers = args.get_num("workers", 2usize)?;
+    let queue = args.get_num("queue", 8usize)?;
+    let max_body = args.get_num("max-body", 1024 * 1024usize)?;
+    let read_timeout_ms = args.get_num("read-timeout-ms", 5000u64)?;
     let config = ServerConfig {
         workers,
         queue_capacity: queue,
@@ -761,24 +672,17 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             max_body_bytes: max_body,
         },
     };
-    let server = Server::bind(&*addr, config).map_err(|e| format!("binding '{addr}': {e}"))?;
+    let server = bind_server(args, "127.0.0.1:7787", config)?;
     let local = server.local_addr();
-    if let Some(path) = args.get("port-file") {
-        std::fs::write(path, format!("{local}\n"))
-            .map_err(|e| format!("writing port file '{path}': {e}"))?;
-    }
     println!("soteria-svc listening on {local} ({workers} workers, queue capacity {queue})");
     println!("POST /v1/shutdown (or `soteria http --method POST --path /v1/shutdown`) drains and exits");
-    let handle = server.handle();
-    server.serve();
-    println!("drained: {} job(s) accepted over this run", handle.job_count());
+    serve_until_drained(server);
     Ok(())
 }
 
-fn cmd_submit(args: &Args) -> Result<(), String> {
+fn cmd_submit(args: &Args, body: &Json) -> Result<(), String> {
     let addr = args.get_or("addr", "127.0.0.1:7787").to_string();
-    let body = campaign_body(args)?;
-    let resp = client::post_json(&*addr, "/v1/campaigns", &body)
+    let resp = client::post_json(&*addr, "/v1/campaigns", body)
         .map_err(|e| format!("connecting to {addr}: {e}"))?;
     if resp.status != 202 {
         return Err(http_failure(&resp));
@@ -788,8 +692,8 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
         .get("job")
         .and_then(Json::as_f64)
         .ok_or("submit response missing 'job' id")? as u64;
-    let poll = args.get_num("poll-ms", 50u64).map_err(|e| e.to_string())?;
-    let timeout = args.get_num("timeout-s", 600u64).map_err(|e| e.to_string())?;
+    let poll = args.get_num("poll-ms", 50u64)?;
+    let timeout = args.get_num("timeout-s", 600u64)?;
     eprintln!("job {id} accepted by {addr}; polling every {poll} ms");
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(timeout);
     loop {
@@ -823,8 +727,7 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
     }
     match args.get("out") {
         Some(path) => {
-            std::fs::write(path, &result.body)
-                .map_err(|e| format!("writing result '{path}': {e}"))?;
+            write_file(path, &result.body)?;
             eprintln!("result to {path}");
         }
         None => print!("{}", result.text()),
@@ -835,8 +738,7 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
         if trace.status != 200 {
             return Err(http_failure(&trace));
         }
-        std::fs::write(path, &trace.body)
-            .map_err(|e| format!("writing trace '{path}': {e}"))?;
+        write_file(path, &trace.body)?;
         eprintln!("trace to {path}");
     }
     Ok(())
@@ -891,10 +793,9 @@ fn split_round_robin(clients: usize, targets: usize) -> Vec<usize> {
         .collect()
 }
 
-fn cmd_loadgen(args: &Args) -> Result<(), String> {
+fn cmd_loadgen(args: &Args, body: &Json) -> Result<(), String> {
     use std::net::ToSocketAddrs;
-    let clients = args.get_num("clients", 16usize).map_err(|e| e.to_string())?;
-    let body = campaign_body(args)?;
+    let clients = args.get_num("clients", 16usize)?;
     let targets = match args.get("targets") {
         Some(spec) => parse_targets(spec)?,
         None => {
@@ -911,10 +812,7 @@ fn cmd_loadgen(args: &Args) -> Result<(), String> {
         let handles: Vec<_> = targets
             .iter()
             .zip(&shares)
-            .map(|(&target, &share)| {
-                let body = &body;
-                s.spawn(move || submit_burst(target, body, share))
-            })
+            .map(|(&target, &share)| s.spawn(move || submit_burst(target, body, share)))
             .collect();
         handles
             .into_iter()
@@ -944,50 +842,36 @@ fn cmd_loadgen(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_coordinate(args: &Args) -> Result<(), String> {
-    let kind = args.get_or("kind", "campaign").to_string();
-    let body = match kind.as_str() {
-        "campaign" => campaign_body(args)?,
-        "compare" => compare_body(args)?,
-        "crashck" => crashck_body(args)?,
-        other => return Err(format!("unknown kind '{other}' (campaign|compare|crashck)")),
-    };
+fn cmd_coordinate(args: &Args, kind: &str, body: &Json) -> Result<(), String> {
     let addr = args.get_or("addr", "127.0.0.1:7799").to_string();
     let mut config = FleetConfig {
-        min_workers: args
-            .get_num("min-workers", 1usize)
-            .map_err(|e| e.to_string())?,
-        chunk_blocks: args.get_num("chunk", 4u64).map_err(|e| e.to_string())?,
+        min_workers: args.get_num("min-workers", 1usize)?,
+        chunk_blocks: args.get_num("chunk", 4u64)?,
         ..FleetConfig::default()
     };
-    config.register_timeout = std::time::Duration::from_secs(
-        args.get_num("register-timeout-s", 30u64)
-            .map_err(|e| e.to_string())?,
-    );
+    config.register_timeout =
+        std::time::Duration::from_secs(args.get_num("register-timeout-s", 30u64)?);
     let coordinator =
         Coordinator::bind(&*addr, config).map_err(|e| format!("binding '{addr}': {e}"))?;
     let local = coordinator.local_addr();
     if let Some(path) = args.get("port-file") {
-        std::fs::write(path, format!("{local}\n"))
-            .map_err(|e| format!("writing port file '{path}': {e}"))?;
+        write_file(path, format!("{local}\n"))?;
     }
     eprintln!(
         "fleet coordinator on {local}: {kind} job, waiting for {} worker(s)",
         args.get_or("min-workers", "1")
     );
     eprintln!("register workers with `soteria worker --coordinator {local}`");
-    let (result, ndjson) = coordinator.run(&kind, &body)?;
+    let (result, ndjson) = coordinator.run(kind, body)?;
     match args.get("out") {
         Some(path) => {
-            std::fs::write(path, &result)
-                .map_err(|e| format!("writing result '{path}': {e}"))?;
+            write_file(path, &result)?;
             eprintln!("merged result to {path}");
         }
         None => print!("{result}"),
     }
     if let Some(path) = args.get("ndjson") {
-        std::fs::write(path, &ndjson)
-            .map_err(|e| format!("writing ndjson '{path}': {e}"))?;
+        write_file(path, &ndjson)?;
         eprintln!("merged ndjson to {path}");
     }
     Ok(())
@@ -998,20 +882,14 @@ fn cmd_worker(args: &Args) -> Result<(), String> {
         .get("coordinator")
         .ok_or("worker needs --coordinator ADDR")?
         .to_string();
-    let addr = args.get_or("addr", "127.0.0.1:0").to_string();
-    let workers = args.get_num("workers", 2usize).map_err(|e| e.to_string())?;
-    let queue = args.get_num("queue", 8usize).map_err(|e| e.to_string())?;
+    let workers = args.get_num("workers", 2usize)?;
     let config = ServerConfig {
         workers,
-        queue_capacity: queue,
+        queue_capacity: args.get_num("queue", 8usize)?,
         ..ServerConfig::default()
     };
-    let server = Server::bind(&*addr, config).map_err(|e| format!("binding '{addr}': {e}"))?;
+    let server = bind_server(args, "127.0.0.1:0", config)?;
     let local = server.local_addr();
-    if let Some(path) = args.get("port-file") {
-        std::fs::write(path, format!("{local}\n"))
-            .map_err(|e| format!("writing port file '{path}': {e}"))?;
-    }
     let advertise = args.get_or("advertise", &local.to_string()).to_string();
     println!("fleet worker on {local} ({workers} job threads), registering with {coordinator}");
     // Register from a side thread with patient retries: the worker may
@@ -1028,59 +906,56 @@ fn cmd_worker(args: &Args) -> Result<(), String> {
             Err(e) => eprintln!("registration with {coordinator} failed: {e}"),
         }
     });
-    let handle = server.handle();
-    server.serve();
-    println!("drained: {} job(s) accepted over this run", handle.job_count());
+    serve_until_drained(server);
     Ok(())
 }
 
 fn run() -> Result<(), String> {
     let args = Args::parse(std::env::args().skip(1)).map_err(|e| e.to_string())?;
-    if args.has_flag("help") {
+    let Some(name) = args.command().filter(|_| !args.has_flag("help")) else {
         println!("{}", usage());
         return Ok(());
+    };
+    if !COMMANDS.iter().any(|(n, _)| *n == name) {
+        return Err(format!("unknown command '{name}'\n\n{}", command_listing()));
     }
-    match args.command() {
-        None | Some("help") => {
-            println!("{}", usage());
-            Ok(())
-        }
-        Some("info") => {
+    let (options, switches, job) = FLAGS
+        .iter()
+        .find(|f| f.0 == name)
+        .map_or(("", "", None), |&(_, options, switches, job)| {
+            (options, switches, job)
+        });
+    args.check(options, switches, job.is_some())?;
+    if let Some(default_kind) = job {
+        // The job's own parser validates the body before anything runs
+        // or is sent.
+        let kind = args.get_or("kind", default_kind);
+        let body = args.job_body(options);
+        let spec = JobSpec::from_kind(kind, &body)?;
+        return match name {
+            "submit" => cmd_submit(&args, &body),
+            "loadgen" => cmd_loadgen(&args, &body),
+            "coordinate" => cmd_coordinate(&args, kind, &body),
+            _ => cmd_job(&args, name, options, &spec),
+        };
+    }
+    match name {
+        "info" => {
             cmd_info();
             Ok(())
         }
-        Some("perf") => cmd_perf(&args),
-        Some("record") => {
-            let name = args.get_or("workload", "sps").to_string();
-            let ops = args.get_num("ops", 100_000u64).map_err(|e| e.to_string())?;
-            let default_out = format!("{name}.trace");
-            let out = args.get_or("out", &default_out).to_string();
-            let cfg = SuiteConfig {
-                footprint_bytes: 64 << 20,
-                seed: 0xda7a,
-            };
-            let mut w = standard_suite(&cfg)
-                .into_iter()
-                .find(|w| w.name() == name)
-                .ok_or_else(|| format!("unknown workload '{name}'"))?;
-            soteria_workloads::trace::record(w.as_mut(), ops, &out)
-                .map_err(|e| e.to_string())?;
-            println!("recorded {ops} ops of {name} to {out}");
+        "perf" => cmd_perf(&args),
+        "record" => cmd_record(&args),
+        "rare" => cmd_rare(&args),
+        "crash-demo" => cmd_crash_demo(&args),
+        "trace-validate" => cmd_trace_validate(&args),
+        "serve" => cmd_serve(&args),
+        "http" => cmd_http(&args),
+        "worker" => cmd_worker(&args),
+        _ => {
+            println!("{}", usage());
             Ok(())
         }
-        Some("campaign") => cmd_campaign(&args),
-        Some("compare") => cmd_compare(&args),
-        Some("rare") => cmd_rare(&args),
-        Some("crash-demo") => cmd_crash_demo(&args),
-        Some("crashck") => cmd_crashck(&args),
-        Some("trace-validate") => cmd_trace_validate(&args),
-        Some("serve") => cmd_serve(&args),
-        Some("submit") => cmd_submit(&args),
-        Some("http") => cmd_http(&args),
-        Some("loadgen") => cmd_loadgen(&args),
-        Some("coordinate") => cmd_coordinate(&args),
-        Some("worker") => cmd_worker(&args),
-        Some(other) => Err(format!("unknown command '{other}'\n\n{}", command_listing())),
     }
 }
 
@@ -1097,6 +972,29 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use soteria_faultsim::compare::COMPARE_FIELDS;
+    use soteria_faultsim::crashck::CRASHCK_FIELDS;
+    use soteria_faultsim::job::CAMPAIGN_FIELDS;
+
+    fn args(line: &str) -> Args {
+        Args::parse(line.split_whitespace().map(String::from)).unwrap()
+    }
+
+    fn flags(name: &str) -> (&'static str, &'static str, Option<&'static str>) {
+        FLAGS
+            .iter()
+            .find(|f| f.0 == name)
+            .map_or(("", "", None), |&(_, options, switches, job)| {
+                (options, switches, job)
+            })
+    }
+
+    /// The body a job command builds, through its kind's parser.
+    fn job(line: &str) -> Result<JobSpec, String> {
+        let a = args(line);
+        let (options, _, kind) = flags(a.command().unwrap());
+        JobSpec::from_kind(a.get_or("kind", kind.unwrap()), &a.job_body(options))
+    }
 
     #[test]
     fn every_command_is_listed_once_with_a_description() {
@@ -1111,6 +1009,12 @@ mod tests {
             );
             assert!(text.contains(one_liner), "usage must carry {name}'s one-liner");
         }
+        for (name, ..) in FLAGS {
+            assert!(
+                COMMANDS.iter().any(|(n, _)| n == name),
+                "flags for unknown {name}"
+            );
+        }
         let names: Vec<&str> = COMMANDS.iter().map(|(n, _)| *n).collect();
         let mut unique = names.clone();
         unique.sort_unstable();
@@ -1118,64 +1022,126 @@ mod tests {
         assert_eq!(unique.len(), names.len(), "duplicate command names");
     }
 
+    /// `OPTION_DETAILS` lists, under each command, exactly the flags the
+    /// command declares — plus, for `campaign`/`compare`/`crashck`, the
+    /// job fields their parser accepts.
+    #[test]
+    fn option_details_list_exactly_each_commands_flags() {
+        let mut listed: Vec<(&str, Vec<&str>)> = Vec::new();
+        for line in OPTION_DETAILS.lines() {
+            if let Some(flag) = line.strip_prefix("      --") {
+                let flag = flag.split_whitespace().next().unwrap();
+                listed
+                    .last_mut()
+                    .expect("a flag under a command")
+                    .1
+                    .push(flag);
+            } else if let Some(header) = line.strip_prefix("  ").filter(|h| !h.starts_with(' ')) {
+                listed.push((header.split_whitespace().next().unwrap(), Vec::new()));
+            }
+        }
+        for (name, _) in &listed {
+            assert!(COMMANDS.iter().any(|(n, _)| n == name), "no command {name}");
+        }
+        for (name, _) in COMMANDS {
+            let (options, switches, _) = flags(name);
+            let mut expected: Vec<&str> = options.split_whitespace().collect();
+            expected.extend(switches.split_whitespace());
+            match *name {
+                "campaign" => expected.extend(CAMPAIGN_FIELDS),
+                "compare" => expected.extend(COMPARE_FIELDS),
+                "crashck" => expected.extend(CRASHCK_FIELDS),
+                _ => {}
+            }
+            let mut got = listed
+                .iter()
+                .find(|(n, _)| n == name)
+                .map_or(Vec::new(), |(_, flags)| flags.clone());
+            expected.sort_unstable();
+            got.sort_unstable();
+            assert_eq!(got, expected, "OPTION_DETAILS for {name}");
+        }
+    }
+
     #[test]
     fn seed_parsing_accepts_both_radixes() {
-        assert_eq!(parse_seed("42").unwrap(), 42);
-        assert_eq!(parse_seed("0xdead").unwrap(), 0xdead);
-        assert!(parse_seed("0xzz").unwrap_err().contains("0xzz"));
+        let seed = |flag: &str| -> Result<u64, String> {
+            match job(&format!("campaign --seed {flag}"))? {
+                JobSpec::Campaign(config) => Ok(config.seed),
+                other => panic!("campaign parsed as {other:?}"),
+            }
+        };
+        assert_eq!(seed("42"), Ok(42));
+        assert_eq!(seed("0xdead"), Ok(0xdead));
+        // Above 2^53: neither spelling may round through an f64.
+        assert_eq!(seed("0x20000000000001"), Ok(0x20_0000_0000_0001));
+        assert_eq!(seed("9007199254740993"), Ok(9_007_199_254_740_993));
+        assert!(seed("0xzz").unwrap_err().contains("0xzz"));
     }
 
     #[test]
     fn campaign_body_maps_flags_to_service_fields() {
-        let args = Args::parse(
-            "submit --fit 1500 --iters 200 --ecc double --tree bmt --seed 0x7 --capacity 67108864"
-                .split_whitespace()
-                .map(String::from),
-        )
-        .unwrap();
-        let body = campaign_body(&args).unwrap();
+        let a = args(
+            "submit --fit 1500 --iterations 200 --ecc double --tree bmt --seed 0x7 \
+             --capacity_bytes 67108864 --addr 127.0.0.1:1",
+        );
+        let body = a.job_body(flags("submit").0);
         assert_eq!(body.get("fit").and_then(Json::as_f64), Some(1500.0));
         assert_eq!(body.get("iterations").and_then(Json::as_f64), Some(200.0));
         assert_eq!(body.get("ecc").and_then(Json::as_str), Some("double"));
         assert_eq!(body.get("tree").and_then(Json::as_str), Some("bmt"));
-        assert_eq!(body.get("seed").and_then(Json::as_f64), Some(7.0));
+        assert_eq!(body.get("seed").and_then(Json::as_str), Some("0x7"));
         assert_eq!(
             body.get("capacity_bytes").and_then(Json::as_f64),
             Some(67108864.0)
         );
-        // Unset flags stay unset so the server's defaults apply.
+        // The command's own flags and unset fields stay out of the body.
+        assert!(body.get("addr").is_none());
         assert!(body.get("threads").is_none());
-        // And bad values fail locally with the option name.
-        let bad = Args::parse(["submit".into(), "--ecc".into(), "raid".into()]).unwrap();
-        assert!(campaign_body(&bad).unwrap_err().contains("unknown ecc 'raid'"));
+        // Bad values and old spellings fail locally with the parser's message.
+        assert!(job("submit --ecc raid")
+            .unwrap_err()
+            .contains("unknown ecc 'raid'"));
+        let err = job("campaign --iters 64").unwrap_err();
+        assert!(
+            err.contains("unknown field 'iters' (fit, iterations,"),
+            "{err}"
+        );
     }
 
     #[test]
     fn fleet_bodies_map_flags_to_service_fields() {
-        let args = Args::parse(
-            "coordinate --kind compare --fit 1500 --iters 128 --ops 512 --seed 0x9"
-                .split_whitespace()
-                .map(String::from),
+        let JobSpec::Compare(c) = job(
+            "coordinate --kind compare --fit 1500 --iterations 128 --trace_ops 512 --seed 0x9 \
+             --chunk 2",
         )
-        .unwrap();
-        let body = compare_body(&args).unwrap();
-        assert_eq!(body.get("fit").and_then(Json::as_f64), Some(1500.0));
-        assert_eq!(body.get("iterations").and_then(Json::as_f64), Some(128.0));
-        assert_eq!(body.get("trace_ops").and_then(Json::as_f64), Some(512.0));
-        assert_eq!(body.get("seed").and_then(Json::as_f64), Some(9.0));
+        .unwrap() else {
+            panic!("--kind compare must parse a compare job");
+        };
+        assert_eq!(c.fit_per_chip, 1500.0);
+        assert_eq!(c.iterations, 128);
+        assert_eq!(c.trace_ops, 512);
+        assert_eq!(c.seed, 9);
 
-        let args = Args::parse(
-            "coordinate --kind crashck --scripts 2 --txns 4 --writes 3 --threads 2"
-                .split_whitespace()
-                .map(String::from),
+        let JobSpec::Crashck(c) = job(
+            "coordinate --kind crashck --scripts_per_cell 2 --max_txns 4 --max_writes 3 \
+             --threads 2",
         )
-        .unwrap();
-        let body = crashck_body(&args).unwrap();
-        assert_eq!(body.get("scripts_per_cell").and_then(Json::as_f64), Some(2.0));
-        assert_eq!(body.get("max_txns").and_then(Json::as_f64), Some(4.0));
-        assert_eq!(body.get("max_writes").and_then(Json::as_f64), Some(3.0));
-        assert_eq!(body.get("threads").and_then(Json::as_f64), Some(2.0));
-        assert!(body.get("seed").is_none(), "unset flags stay unset");
+        .unwrap() else {
+            panic!("--kind crashck must parse a crashck job");
+        };
+        assert_eq!(
+            (c.scripts_per_cell, c.max_txns, c.max_writes, c.threads),
+            (2, 4, 3, 2)
+        );
+        assert_eq!(
+            c.seed,
+            soteria_faultsim::CrashckConfig::default().seed,
+            "unset stays default"
+        );
+        assert!(job("coordinate --kind blocks")
+            .unwrap_err()
+            .contains("unknown kind"));
     }
 
     #[test]

@@ -152,7 +152,7 @@ fn crash_demo_with_fault_recovers_under_src() {
 #[test]
 fn campaign_small_run_prints_schemes() {
     let out = soteria()
-        .args(["campaign", "--fit", "200", "--iters", "2000"])
+        .args(["campaign", "--fit", "200", "--iterations", "2000"])
         .output()
         .expect("spawn");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
@@ -168,7 +168,16 @@ fn compare_small_run_emits_matrix_artifacts() {
     let json = dir.join(format!("cli_compare_{pid}.json"));
     let ndjson = dir.join(format!("cli_compare_{pid}.ndjson"));
     let out = soteria()
-        .args(["compare", "--iters", "64", "--ops", "256", "--threads", "2", "--json"])
+        .args([
+            "compare",
+            "--iterations",
+            "64",
+            "--trace_ops",
+            "256",
+            "--threads",
+            "2",
+            "--json",
+        ])
         .arg(&json)
         .arg("--ndjson")
         .arg(&ndjson)
@@ -197,10 +206,24 @@ impl Drop for KillOnDrop {
     }
 }
 
+/// Waits for a child to write its address (newline-terminated) to `file`.
+fn read_addr(file: &std::path::Path) -> String {
+    for _ in 0..400 {
+        if let Ok(text) = std::fs::read_to_string(file) {
+            if text.ends_with('\n') {
+                return text.trim().to_string();
+            }
+        }
+        std::thread::sleep(std::time::Duration::from_millis(25));
+    }
+    panic!("no address appeared in {}", file.display());
+}
+
 /// The determinism contract end-to-end at the binary level: `soteria
 /// serve` + `soteria submit` produce byte-identical result JSON and
-/// NDJSON trace to `soteria campaign --json/--trace` at the same seed,
-/// and a `POST /v1/shutdown` drains the server to a clean exit.
+/// NDJSON trace to `soteria campaign --json/--trace` at the same seed —
+/// including a seed above 2^53, which neither front-end may round — and
+/// a `POST /v1/shutdown` drains the server to a clean exit.
 #[test]
 fn serve_submit_matches_campaign_bytes() {
     let dir = std::env::temp_dir();
@@ -214,48 +237,47 @@ fn serve_submit_matches_campaign_bytes() {
         .spawn()
         .expect("spawn serve");
     let mut serve = KillOnDrop(serve);
-    let mut addr = String::new();
-    for _ in 0..400 {
-        if let Ok(text) = std::fs::read_to_string(&port_file) {
-            if text.ends_with('\n') {
-                addr = text.trim().to_string();
-                break;
-            }
+    let addr = read_addr(&port_file);
+
+    for seed in ["0xabc", "0x20000000000001"] {
+        let campaign_flags = [
+            "--fit",
+            "1500",
+            "--iterations",
+            "300",
+            "--capacity_bytes",
+            "67108864",
+            "--seed",
+            seed,
+        ];
+        let out = soteria()
+            .args(["submit", "--addr", &addr])
+            .args(campaign_flags)
+            .args(["--out"])
+            .arg(path("http.json"))
+            .arg("--trace-out")
+            .arg(path("http.ndjson"))
+            .output()
+            .expect("spawn submit");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+        let out = soteria()
+            .arg("campaign")
+            .args(campaign_flags)
+            .args(["--threads", "2", "--json"])
+            .arg(path("cli.json"))
+            .arg("--trace")
+            .arg(path("cli.ndjson"))
+            .output()
+            .expect("spawn campaign");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+        for name in ["json", "ndjson"] {
+            let http = std::fs::read(path(&format!("http.{name}"))).expect("http artifact");
+            let cli = std::fs::read(path(&format!("cli.{name}"))).expect("cli artifact");
+            assert!(!http.is_empty());
+            assert_eq!(http, cli, "HTTP and CLI {name} artifacts must match byte-for-byte");
         }
-        std::thread::sleep(std::time::Duration::from_millis(25));
-    }
-    assert!(!addr.is_empty(), "server never wrote its port file");
-
-    let campaign_flags = [
-        "--fit", "1500", "--iters", "300", "--capacity", "67108864", "--seed", "0xabc",
-    ];
-    let out = soteria()
-        .args(["submit", "--addr", &addr])
-        .args(campaign_flags)
-        .args(["--out"])
-        .arg(path("http.json"))
-        .arg("--trace-out")
-        .arg(path("http.ndjson"))
-        .output()
-        .expect("spawn submit");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-
-    let out = soteria()
-        .arg("campaign")
-        .args(campaign_flags)
-        .args(["--threads", "2", "--json"])
-        .arg(path("cli.json"))
-        .arg("--trace")
-        .arg(path("cli.ndjson"))
-        .output()
-        .expect("spawn campaign");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-
-    for name in ["json", "ndjson"] {
-        let http = std::fs::read(path(&format!("http.{name}"))).expect("http artifact");
-        let cli = std::fs::read(path(&format!("cli.{name}"))).expect("cli artifact");
-        assert!(!http.is_empty());
-        assert_eq!(http, cli, "HTTP and CLI {name} artifacts must match byte-for-byte");
     }
 
     let out = soteria()
@@ -272,80 +294,178 @@ fn serve_submit_matches_campaign_bytes() {
 }
 
 /// The fleet contract at the binary level: `soteria coordinate` with
-/// two `soteria worker` processes merges a campaign to bytes identical
-/// to `soteria campaign --json/--trace` at the same seed.
+/// two `soteria worker` processes merges a job to bytes identical to the
+/// single-node command (`campaign --json/--trace`, `compare` or
+/// `crashck --json/--ndjson`) at the same seed, for every job kind.
 #[test]
 fn coordinate_with_workers_matches_campaign_bytes() {
     let dir = std::env::temp_dir();
     let pid = std::process::id();
     let path = |name: &str| dir.join(format!("cli_fleet_{pid}_{name}"));
-    let read_addr = |file: &std::path::Path| -> String {
-        for _ in 0..400 {
-            if let Ok(text) = std::fs::read_to_string(file) {
-                if text.ends_with('\n') {
-                    return text.trim().to_string();
-                }
-            }
-            std::thread::sleep(std::time::Duration::from_millis(25));
+
+    for (kind, job_flags, ndjson_flag) in [
+        (
+            "campaign",
+            &[
+                "--fit",
+                "1500",
+                "--iterations",
+                "192",
+                "--capacity_bytes",
+                "67108864",
+                "--seed",
+                "0xabc",
+            ][..],
+            "--trace",
+        ),
+        (
+            "compare",
+            &[
+                "--iterations",
+                "128",
+                "--trace_ops",
+                "128",
+                "--seed",
+                "0xabc",
+            ][..],
+            "--ndjson",
+        ),
+        (
+            "crashck",
+            &[
+                "--scripts_per_cell",
+                "1",
+                "--max_txns",
+                "2",
+                "--max_writes",
+                "2",
+                "--seed",
+                "0xabc",
+            ][..],
+            "--ndjson",
+        ),
+    ] {
+        let coordinate = soteria()
+            .args(["coordinate", "--kind", kind, "--addr", "127.0.0.1:0"])
+            .args(job_flags)
+            .args(["--min-workers", "2", "--chunk", "1", "--port-file"])
+            .arg(path("control"))
+            .args(["--out"])
+            .arg(path("fleet.json"))
+            .arg("--ndjson")
+            .arg(path("fleet.ndjson"))
+            .spawn()
+            .expect("spawn coordinate");
+        let mut coordinate = KillOnDrop(coordinate);
+        let control = read_addr(&path("control"));
+
+        let workers: Vec<KillOnDrop> = (0..2)
+            .map(|i| {
+                let worker = soteria()
+                    .args(["worker", "--addr", "127.0.0.1:0", "--coordinator", &control])
+                    .args(["--workers", "1", "--port-file"])
+                    .arg(path(&format!("worker{i}")))
+                    .stdout(std::process::Stdio::null())
+                    .spawn()
+                    .expect("spawn worker");
+                KillOnDrop(worker)
+            })
+            .collect();
+
+        let status = coordinate.0.wait().expect("coordinate exits");
+        assert!(status.success(), "coordinate must merge and exit cleanly");
+        drop(workers);
+
+        let out = soteria()
+            .arg(kind)
+            .args(job_flags)
+            .args(["--threads", "2", "--json"])
+            .arg(path("cli.json"))
+            .arg(ndjson_flag)
+            .arg(path("cli.ndjson"))
+            .output()
+            .expect("spawn campaign");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+
+        for name in ["json", "ndjson"] {
+            let fleet = std::fs::read(path(&format!("fleet.{name}"))).expect("fleet artifact");
+            let cli = std::fs::read(path(&format!("cli.{name}"))).expect("cli artifact");
+            assert!(!fleet.is_empty());
+            assert_eq!(
+                fleet, cli,
+                "fleet and CLI {name} artifacts must match byte-for-byte"
+            );
         }
-        panic!("no address appeared in {}", file.display());
-    };
 
-    let campaign_flags = [
-        "--fit", "1500", "--iters", "192", "--capacity", "67108864", "--seed", "0xabc",
-    ];
-    let coordinate = soteria()
-        .args(["coordinate", "--kind", "campaign", "--addr", "127.0.0.1:0"])
-        .args(campaign_flags)
-        .args(["--min-workers", "2", "--chunk", "1", "--port-file"])
-        .arg(path("control"))
-        .args(["--out"])
-        .arg(path("fleet.json"))
-        .arg("--ndjson")
-        .arg(path("fleet.ndjson"))
-        .spawn()
-        .expect("spawn coordinate");
-    let mut coordinate = KillOnDrop(coordinate);
-    let control = read_addr(&path("control"));
+        for name in [
+            "control",
+            "worker0",
+            "worker1",
+            "fleet.json",
+            "fleet.ndjson",
+            "cli.json",
+            "cli.ndjson",
+        ] {
+            std::fs::remove_file(path(name)).ok();
+        }
+    }
+}
 
-    let workers: Vec<KillOnDrop> = (0..2)
-        .map(|i| {
-            let worker = soteria()
-                .args(["worker", "--addr", "127.0.0.1:0", "--coordinator", &control])
-                .args(["--workers", "1", "--port-file"])
-                .arg(path(&format!("worker{i}")))
-                .stdout(std::process::Stdio::null())
-                .spawn()
-                .expect("spawn worker");
-            KillOnDrop(worker)
-        })
-        .collect();
+/// Every command that takes options rejects one it does not read —
+/// before binding, writing or running anything — and names it.
+#[test]
+fn every_command_rejects_an_unknown_flag() {
+    for name in ALL_COMMANDS
+        .iter()
+        .filter(|n| !["help", "info"].contains(n))
+    {
+        let out = soteria()
+            .args([name, "--not-a-flag", "1"])
+            .output()
+            .expect("spawn");
+        assert!(!out.status.success(), "{name} accepted --not-a-flag");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("not-a-flag"), "{name}: {err}");
+    }
+}
 
-    let status = coordinate.0.wait().expect("coordinate exits");
-    assert!(status.success(), "coordinate must merge and exit cleanly");
-    drop(workers);
+/// Job flags are the parser's JSON keys: `--iterations` is honoured
+/// (it used to be ignored for `--iters`), and an old spelling fails
+/// with the parser's field listing.
+#[test]
+fn campaign_honours_iterations_and_rejects_old_spellings() {
+    let json = std::env::temp_dir().join(format!("cli_iters_{}.json", std::process::id()));
+    let out = soteria()
+        .args([
+            "campaign",
+            "--iterations",
+            "64",
+            "--capacity_bytes",
+            "67108864",
+            "--json",
+        ])
+        .arg(&json)
+        .output()
+        .expect("spawn");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let report = std::fs::read_to_string(&json).expect("json artifact");
+    assert!(report.contains("\"iterations\": 64"), "{report}");
+    std::fs::remove_file(&json).ok();
 
     let out = soteria()
-        .arg("campaign")
-        .args(campaign_flags)
-        .args(["--threads", "2", "--json"])
-        .arg(path("cli.json"))
-        .arg("--trace")
-        .arg(path("cli.ndjson"))
+        .args(["campaign", "--iters", "64"])
         .output()
-        .expect("spawn campaign");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-
-    for name in ["json", "ndjson"] {
-        let fleet = std::fs::read(path(&format!("fleet.{name}"))).expect("fleet artifact");
-        let cli = std::fs::read(path(&format!("cli.{name}"))).expect("cli artifact");
-        assert!(!fleet.is_empty());
-        assert_eq!(fleet, cli, "fleet and CLI {name} artifacts must match byte-for-byte");
-    }
-
-    for name in ["control", "worker0", "worker1", "fleet.json", "fleet.ndjson", "cli.json", "cli.ndjson"] {
-        std::fs::remove_file(path(name)).ok();
-    }
+        .expect("spawn");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("unknown field 'iters' (fit, iterations,"),
+        "{err}"
+    );
 }
 
 #[test]

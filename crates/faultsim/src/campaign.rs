@@ -14,10 +14,11 @@
 //! worker produced them — so the same seed yields bit-identical
 //! [`PolicyResult`]s whether the campaign ran on one thread or sixteen.
 
+use soteria_rt::json::Json;
 use soteria_rt::obs::{Field, TraceBuffer, TraceEvent};
 use soteria_rt::obs_fields;
 use soteria_rt::rng::{stream_seed, StdRng};
-use soteria_rt::thread::fan_out;
+use soteria_rt::thread::default_threads;
 
 use soteria::analysis::{ResilienceModel, TreeKind};
 use soteria::clone::CloningPolicy;
@@ -25,7 +26,11 @@ use soteria::layout::MemoryLayout;
 use soteria_nvm::fault::{FaultFootprint, FaultKind, FaultRecord};
 use soteria_nvm::geometry::DimmGeometry;
 
+use crate::job::{fan_out_blocks, BlockJob, JobOutput, STANDARD_POLICIES};
 use crate::rates::{FaultMode, FitRates};
+use crate::shard::{
+    arr_unwire, event_unwire, event_wire, f64_unwire, f64_wire, u64_unwire, u64_wire,
+};
 use crate::FIVE_YEARS_HOURS;
 
 /// Configuration of one campaign (Table 4 defaults).
@@ -74,7 +79,7 @@ impl CampaignConfig {
             hours: FIVE_YEARS_HOURS,
             iterations: 10_000,
             seed: 0x5072_1a5e,
-            threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
+            threads: default_threads(),
             correctable_chips: 1,
             tree: TreeKind::Toc,
             scrub_interval_hours: None,
@@ -222,6 +227,37 @@ impl TimedFault {
     }
 }
 
+/// Draws the Poisson fault arrivals of every rate bucket whose mode
+/// `keep` accepts, in bucket order, handing each fault to `push` (which
+/// may draw more from `rng`). Rank-level events are per shared
+/// component (one per chip position pair), not per chip.
+fn sample_faults(
+    rng: &mut StdRng,
+    geometry: &DimmGeometry,
+    rates: &FitRates,
+    hours: f64,
+    keep: impl Fn(FaultMode) -> bool,
+    mut push: impl FnMut(&mut StdRng, FaultRecord),
+) {
+    for (mode, permanent, fit) in rates.buckets() {
+        if !keep(mode) {
+            continue;
+        }
+        let lambda = fit * hours / 1e9;
+        let sources = if mode == FaultMode::MultiRank {
+            geometry.chips_per_rank()
+        } else {
+            geometry.chips()
+        };
+        for chip in 0..sources {
+            for _ in 0..poisson(rng, lambda) {
+                let fault = sample_fault(rng, geometry, chip, mode, permanent);
+                push(rng, fault);
+            }
+        }
+    }
+}
+
 /// Draws one DIMM's fault history with arrival times.
 pub fn sample_fault_history(
     rng: &mut StdRng,
@@ -245,31 +281,20 @@ pub fn sample_fault_history_into(
     out: &mut Vec<TimedFault>,
 ) {
     out.clear();
-    let mut push = |rng: &mut StdRng, record: FaultRecord| {
-        let start_hours = rng.random::<f64>() * hours;
-        out.push(TimedFault {
-            record,
-            start_hours,
-        });
-    };
-    for (mode, permanent, fit) in rates.buckets() {
-        let lambda = fit * hours / 1e9;
-        if mode == FaultMode::MultiRank {
-            for position in 0..geometry.chips_per_rank() {
-                for _ in 0..poisson(rng, lambda) {
-                    let f = sample_fault(rng, geometry, position, mode, permanent);
-                    push(rng, f);
-                }
-            }
-        } else {
-            for chip in 0..geometry.chips() {
-                for _ in 0..poisson(rng, lambda) {
-                    let f = sample_fault(rng, geometry, chip, mode, permanent);
-                    push(rng, f);
-                }
-            }
-        }
-    }
+    sample_faults(
+        rng,
+        geometry,
+        rates,
+        hours,
+        |_| true,
+        |rng, record| {
+            let start_hours = rng.random::<f64>() * hours;
+            out.push(TimedFault {
+                record,
+                start_hours,
+            });
+        },
+    );
     out.sort_by(|a, b| a.start_hours.total_cmp(&b.start_hours));
 }
 
@@ -286,44 +311,30 @@ pub fn sample_fault_set_filtered(
 ) -> Vec<FaultRecord> {
     let mut faults = Vec::new();
     // Background of small faults.
-    for (mode, permanent, fit) in rates.buckets() {
-        if crate::rare::is_large_mode(mode) {
-            continue;
-        }
-        let lambda = fit * hours / 1e9;
-        for chip in 0..geometry.chips() {
-            for _ in 0..poisson(rng, lambda) {
-                faults.push(sample_fault(rng, geometry, chip, mode, permanent));
-            }
-        }
-    }
+    let small = |mode| !crate::rare::is_large_mode(mode);
+    sample_faults(rng, geometry, rates, hours, small, |_, f| faults.push(f));
     // Exactly `large_count` large faults, bucket drawn by rate weight.
     let large: Vec<(FaultMode, bool, f64)> = rates
         .buckets()
         .into_iter()
         .filter(|&(mode, _, _)| crate::rare::is_large_mode(mode))
         .collect();
+    let population = |mode| {
+        if mode == FaultMode::MultiRank {
+            geometry.chips_per_rank() as f64
+        } else {
+            geometry.chips() as f64
+        }
+    };
     let total_weight: f64 = large
         .iter()
-        .map(|&(mode, _, fit)| {
-            let population = if mode == FaultMode::MultiRank {
-                geometry.chips_per_rank() as f64
-            } else {
-                geometry.chips() as f64
-            };
-            fit * population
-        })
+        .map(|&(mode, _, fit)| fit * population(mode))
         .sum();
     for _ in 0..large_count {
         let mut pick = rng.random::<f64>() * total_weight;
         let mut chosen = large[0];
         for &(mode, permanent, fit) in &large {
-            let population = if mode == FaultMode::MultiRank {
-                geometry.chips_per_rank() as f64
-            } else {
-                geometry.chips() as f64
-            };
-            pick -= fit * population;
+            pick -= fit * population(mode);
             chosen = (mode, permanent, fit);
             if pick <= 0.0 {
                 break;
@@ -348,44 +359,113 @@ pub fn sample_fault_set(
     hours: f64,
 ) -> Vec<FaultRecord> {
     let mut faults = Vec::new();
-    for (mode, permanent, fit) in rates.buckets() {
-        let lambda = fit * hours / 1e9;
-        if mode == FaultMode::MultiRank {
-            // Rank-level events are per shared component (one per chip
-            // position pair), not per chip.
-            for position in 0..geometry.chips_per_rank() {
-                for _ in 0..poisson(rng, lambda) {
-                    faults.push(sample_fault(rng, geometry, position, mode, permanent));
-                }
-            }
-        } else {
-            for chip in 0..geometry.chips() {
-                for _ in 0..poisson(rng, lambda) {
-                    faults.push(sample_fault(rng, geometry, chip, mode, permanent));
-                }
-            }
-        }
-    }
+    sample_faults(rng, geometry, rates, hours, |_| true, |_, f| faults.push(f));
     faults
 }
 
-pub(crate) struct Accumulator {
+/// Partial sums of one accumulation block of a Monte Carlo job — the
+/// numeric half of a campaign or compare block, with one entry per
+/// policy or scheme in `udr_sum`/`udr_hits`. Opaque outside this crate.
+pub struct Accumulator {
     pub(crate) iterations_with_faults: u64,
     pub(crate) iterations_with_ue: u64,
-    pub(crate) per_policy_udr_sum: Vec<f64>,
-    pub(crate) per_policy_udr_hits: Vec<u64>,
     pub(crate) error_ratio_sum: f64,
+    pub(crate) udr_sum: Vec<f64>,
+    pub(crate) udr_hits: Vec<u64>,
 }
 
 impl Accumulator {
-    pub(crate) fn new(policies: usize) -> Self {
+    pub(crate) fn new(width: usize) -> Self {
         Self {
             iterations_with_faults: 0,
             iterations_with_ue: 0,
-            per_policy_udr_sum: vec![0.0; policies],
-            per_policy_udr_hits: vec![0; policies],
             error_ratio_sum: 0.0,
+            udr_sum: vec![0.0; width],
+            udr_hits: vec![0; width],
         }
+    }
+
+    /// Adds a later block's sums — the fold both merges run in block
+    /// order.
+    pub(crate) fn add(&mut self, other: &Accumulator) {
+        self.iterations_with_faults += other.iterations_with_faults;
+        self.iterations_with_ue += other.iterations_with_ue;
+        self.error_ratio_sum += other.error_ratio_sum;
+        for (sum, &s) in self.udr_sum.iter_mut().zip(&other.udr_sum) {
+            *sum += s;
+        }
+        for (hits, &h) in self.udr_hits.iter_mut().zip(&other.udr_hits) {
+            *hits += h;
+        }
+    }
+}
+
+/// One accumulation block of a Monte Carlo job: its partial sums and the
+/// trace events its iterations emitted, in iteration order. The unit of
+/// work distribution, across local threads and across fleet workers.
+/// Opaque outside this crate.
+pub struct IterBlock<E> {
+    /// Block index (`block * ITERATION_BLOCK` is its first iteration).
+    pub(crate) block: u64,
+    pub(crate) acc: Accumulator,
+    pub(crate) events: Vec<E>,
+}
+
+impl<E> IterBlock<E> {
+    /// The block's wire form; `event` renders one event.
+    pub(crate) fn wire(&self, event: impl Fn(&E) -> Json) -> Json {
+        let acc = &self.acc;
+        Json::Obj(vec![
+            ("block".into(), u64_wire(self.block)),
+            ("faults".into(), u64_wire(acc.iterations_with_faults)),
+            ("ue".into(), u64_wire(acc.iterations_with_ue)),
+            ("err".into(), f64_wire(acc.error_ratio_sum)),
+            (
+                "udr_sum".into(),
+                Json::Arr(acc.udr_sum.iter().map(|&v| f64_wire(v)).collect()),
+            ),
+            (
+                "udr_hits".into(),
+                Json::Arr(acc.udr_hits.iter().map(|&v| u64_wire(v)).collect()),
+            ),
+            (
+                "events".into(),
+                Json::Arr(self.events.iter().map(event).collect()),
+            ),
+        ])
+    }
+
+    /// Parses [`IterBlock::wire`]'s form of a block with `width`
+    /// per-policy sums; `event` parses one event.
+    pub(crate) fn unwire(
+        obj: &Json,
+        width: usize,
+        event: impl Fn(&Json) -> Result<E, String>,
+    ) -> Result<Self, String> {
+        let sums = arr_unwire(obj.get("udr_sum"), "udr_sum")?;
+        let hits = arr_unwire(obj.get("udr_hits"), "udr_hits")?;
+        if sums.len() != width || hits.len() != width {
+            return Err(format!("block must carry {width} per-policy sums"));
+        }
+        let mut acc = Accumulator::new(width);
+        acc.iterations_with_faults = u64_unwire(obj.get("faults"), "faults")?;
+        acc.iterations_with_ue = u64_unwire(obj.get("ue"), "ue")?;
+        acc.error_ratio_sum = f64_unwire(obj.get("err"), "err")?;
+        for (i, v) in sums.iter().enumerate() {
+            acc.udr_sum[i] = f64_unwire(Some(v), "udr_sum")?;
+        }
+        for (i, v) in hits.iter().enumerate() {
+            acc.udr_hits[i] = u64_unwire(Some(v), "udr_hits")?;
+        }
+        let mut events = Vec::new();
+        for e in arr_unwire(obj.get("events"), "events")? {
+            events.push(event(e)?);
+        }
+        Ok(IterBlock {
+            block: u64_unwire(obj.get("block"), "block")?,
+            acc,
+            events,
+        })
     }
 }
 
@@ -397,8 +477,6 @@ impl Accumulator {
 /// same-seed campaigns bit-identical across thread counts.
 pub const ITERATION_BLOCK: u64 = 64;
 
-/// Simulates one Monte Carlo iteration into `acc`.
-#[allow(clippy::too_many_arguments)]
 /// Per-worker scratch buffers reused across Monte Carlo iterations.
 ///
 /// The campaign hot loop used to allocate a fresh fault history, a
@@ -431,8 +509,8 @@ struct WorkerCtx<'a> {
     layout: &'a MemoryLayout,
     geometry: &'a DimmGeometry,
     rates: &'a FitRates,
-    model: &'a ResilienceModel<'a>,
-    policy_refs: &'a [&'a CloningPolicy],
+    model: ResilienceModel<'a>,
+    policy_refs: Vec<&'a CloningPolicy>,
 }
 
 /// Short label for a cloning policy in trace events.
@@ -460,7 +538,7 @@ fn simulate_iteration(
         rates,
         model,
         policy_refs,
-    } = *ctx;
+    } = ctx;
     sample_fault_history_into(rng, geometry, rates, config.hours, &mut scratch.history);
     if scratch.history.is_empty() {
         return;
@@ -525,8 +603,8 @@ fn simulate_iteration(
     acc.error_ratio_sum += worst_error;
     for (i, &udr) in scratch.worst_udr.iter().enumerate() {
         if udr > 0.0 {
-            acc.per_policy_udr_sum[i] += udr;
-            acc.per_policy_udr_hits[i] += 1;
+            acc.udr_sum[i] += udr;
+            acc.udr_hits[i] += 1;
         }
     }
     if any_ue {
@@ -582,22 +660,14 @@ pub fn run_campaign_traced(
     config: &CampaignConfig,
     policies: &[CloningPolicy],
 ) -> (Vec<PolicyResult>, TraceBuffer) {
-    let blocks = config.iterations.div_ceil(ITERATION_BLOCK);
-    let all: Vec<u64> = (0..blocks).collect();
-    let tagged = run_campaign_blocks(config, policies, &all);
-    merge_campaign_blocks(config, policies, tagged)
+    let ids: Vec<u64> = (0..BlockJob::total_blocks(config)).collect();
+    let blocks = run_campaign_blocks(config, policies, &ids);
+    merge_campaign_blocks(config, policies, blocks)
 }
 
-/// One block's partial sums and trace events — the unit of work
-/// distribution, both across local threads and across fleet workers.
-pub(crate) struct CampaignBlock {
-    /// Block index (`block * ITERATION_BLOCK` is its first iteration).
-    pub(crate) block: u64,
-    pub(crate) acc: Accumulator,
-    /// Trace events emitted by this block's iterations, in iteration
-    /// order (empty when `config.trace` is off).
-    pub(crate) events: Vec<TraceEvent>,
-}
+/// A campaign block: partial sums plus the block's trace events (empty
+/// when `config.trace` is off).
+pub(crate) type CampaignBlock = IterBlock<TraceEvent>;
 
 /// Computes the partial sums of the given accumulation blocks.
 ///
@@ -605,7 +675,7 @@ pub(crate) struct CampaignBlock {
 /// on which worker or node computed it — so any partition of the block
 /// list over threads (here) or fleet workers (`svc::fleet`) yields
 /// bit-identical partials. Returned sorted by block index.
-pub(crate) fn run_campaign_blocks(
+fn run_campaign_blocks(
     config: &CampaignConfig,
     policies: &[CloningPolicy],
     block_ids: &[u64],
@@ -613,29 +683,24 @@ pub(crate) fn run_campaign_blocks(
     let layout = config.build_layout();
     let geometry = config.build_geometry(&layout);
     let rates = config.rates.scaled_to(config.fit_per_chip);
-    let workers = config.threads.max(1).min(block_ids.len().max(1));
-
-    // Each worker claims blocks workers-strided (worker t gets list
-    // entries t, t+workers, …) and tags every accumulator with its
-    // block index; the merge folds them back in block order.
-    let per_worker: Vec<Vec<CampaignBlock>> = fan_out(workers, |t| {
-        let model = ResilienceModel::new(&layout, &geometry)
-            .with_correctable_chips(config.correctable_chips)
-            .with_tree(config.tree);
-        let policy_refs: Vec<&CloningPolicy> = policies.iter().collect();
+    let new_worker = || {
         let ctx = WorkerCtx {
             config,
             layout: &layout,
             geometry: &geometry,
             rates: &rates,
-            model: &model,
-            policy_refs: &policy_refs,
+            model: ResilienceModel::new(&layout, &geometry)
+                .with_correctable_chips(config.correctable_chips)
+                .with_tree(config.tree),
+            policy_refs: policies.iter().collect(),
         };
-        let mut scratch = IterScratch::new(policies.len());
-        let mut out = Vec::new();
-        let mut i = t;
-        while i < block_ids.len() {
-            let block = block_ids[i];
+        (ctx, IterScratch::new(policies.len()))
+    };
+    fan_out_blocks(
+        block_ids,
+        config.threads,
+        new_worker,
+        |(ctx, scratch), block| {
             let lo = block * ITERATION_BLOCK;
             let hi = (lo + ITERATION_BLOCK).min(config.iterations);
             let mut acc = Accumulator::new(policies.len());
@@ -644,34 +709,26 @@ pub(crate) fn run_campaign_blocks(
                 let mut rng = StdRng::seed_from_u64(stream_seed(config.seed, iter));
                 simulate_iteration(
                     &mut rng,
-                    &ctx,
-                    &mut scratch,
+                    ctx,
+                    scratch,
                     &mut acc,
                     iter,
                     config.trace.then_some(&mut events),
                 );
             }
-            out.push(CampaignBlock { block, acc, events });
-            i += workers;
-        }
-        out
-    });
-
-    let mut tagged: Vec<CampaignBlock> = per_worker.into_iter().flatten().collect();
-    tagged.sort_by_key(|b| b.block);
-    tagged
+            IterBlock { block, acc, events }
+        },
+    )
 }
 
 /// Folds block partials (in block order) into the final results and
 /// trace — the single reduction behind both the local runner and the
 /// fleet coordinator's merge, so their bytes cannot diverge.
-pub(crate) fn merge_campaign_blocks(
+fn merge_campaign_blocks(
     config: &CampaignConfig,
     policies: &[CloningPolicy],
-    mut tagged: Vec<CampaignBlock>,
+    blocks: Vec<CampaignBlock>,
 ) -> (Vec<PolicyResult>, TraceBuffer) {
-    tagged.sort_by_key(|b| b.block);
-
     let mut trace = if config.trace {
         TraceBuffer::with_capacity(CAMPAIGN_TRACE_CAPACITY)
     } else {
@@ -687,19 +744,9 @@ pub(crate) fn merge_campaign_blocks(
         ]
     });
 
-    let mut iterations_with_faults = 0;
-    let mut iterations_with_ue = 0;
-    let mut error_ratio_sum = 0.0;
-    let mut udr_sum = vec![0.0; policies.len()];
-    let mut udr_hits = vec![0u64; policies.len()];
-    for CampaignBlock { acc, events, .. } in tagged {
-        iterations_with_faults += acc.iterations_with_faults;
-        iterations_with_ue += acc.iterations_with_ue;
-        error_ratio_sum += acc.error_ratio_sum;
-        for i in 0..policies.len() {
-            udr_sum[i] += acc.per_policy_udr_sum[i];
-            udr_hits[i] += acc.per_policy_udr_hits[i];
-        }
+    let mut total = Accumulator::new(policies.len());
+    for IterBlock { acc, events, .. } in blocks {
+        total.add(&acc);
         trace.absorb(events);
     }
     let results: Vec<PolicyResult> = policies
@@ -708,11 +755,11 @@ pub(crate) fn merge_campaign_blocks(
         .map(|(i, policy)| PolicyResult {
             policy: policy.clone(),
             iterations: config.iterations,
-            iterations_with_faults,
-            iterations_with_ue,
-            iterations_with_udr: udr_hits[i],
-            mean_error_ratio: error_ratio_sum / config.iterations as f64,
-            mean_udr: udr_sum[i] / config.iterations as f64,
+            iterations_with_faults: total.iterations_with_faults,
+            iterations_with_ue: total.iterations_with_ue,
+            iterations_with_udr: total.udr_hits[i],
+            mean_error_ratio: total.error_ratio_sum / config.iterations as f64,
+            mean_udr: total.udr_sum[i] / config.iterations as f64,
         })
         .collect();
     for r in &results {
@@ -729,6 +776,45 @@ pub(crate) fn merge_campaign_blocks(
         });
     }
     (results, trace)
+}
+
+/// A campaign job over [`STANDARD_POLICIES`] (`soteria-campaign/v1`).
+impl BlockJob for CampaignConfig {
+    type Block = CampaignBlock;
+    const KIND: &'static str = "campaign";
+    const SCHEMA: &'static str = "soteria-campaign/v1";
+
+    fn threads(&self) -> usize {
+        self.threads
+    }
+
+    fn total_blocks(&self) -> u64 {
+        self.iterations.div_ceil(ITERATION_BLOCK)
+    }
+
+    fn run_blocks(&self, ids: &[u64]) -> Vec<CampaignBlock> {
+        run_campaign_blocks(self, &STANDARD_POLICIES, ids)
+    }
+
+    fn block_id(block: &CampaignBlock) -> u64 {
+        block.block
+    }
+
+    fn wire(&self, block: &CampaignBlock) -> Json {
+        block.wire(event_wire)
+    }
+
+    fn unwire(&self, obj: &Json) -> Result<CampaignBlock, String> {
+        IterBlock::unwire(obj, STANDARD_POLICIES.len(), event_unwire)
+    }
+
+    fn merge(&self, blocks: Vec<CampaignBlock>) -> (String, String) {
+        let out = JobOutput::new(
+            self,
+            merge_campaign_blocks(self, &STANDARD_POLICIES, blocks),
+        );
+        (out.result_json, out.trace_ndjson)
+    }
 }
 
 /// Ring capacity for campaign traces: a 10^6-iteration Table 4 campaign

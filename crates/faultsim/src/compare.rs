@@ -31,9 +31,15 @@ use soteria::policy::{standard_schemes, ProtectionPolicy, RecoveryStrategy};
 use soteria::DataAddr;
 use soteria_rt::json::Json;
 use soteria_rt::rng::{stream_seed, StdRng};
-use soteria_rt::thread::{fan_out, parallel_map};
+use soteria_rt::thread::parallel_map;
 
-use crate::campaign::{sample_fault_history_into, CampaignConfig, ITERATION_BLOCK};
+use crate::campaign::{
+    sample_fault_history_into, Accumulator, CampaignConfig, IterBlock, ITERATION_BLOCK,
+};
+use crate::job::{
+    fan_out_blocks, fields_of, read_count, read_positive, read_seed, run_all, unknown_field,
+    BlockJob,
+};
 use crate::FIVE_YEARS_HOURS;
 
 /// The seed stream index the slowdown trace draws from — far outside the
@@ -157,31 +163,6 @@ fn recovery_label(strategy: RecoveryStrategy) -> &'static str {
     }
 }
 
-/// Per-block accumulator of the resilience half (the compare analogue of
-/// the campaign's fixed-block f64 accumulation).
-pub(crate) struct BlockAcc {
-    pub(crate) iterations_with_faults: u64,
-    pub(crate) iterations_with_ue: u64,
-    pub(crate) error_ratio_sum: f64,
-    pub(crate) udr_sum: Vec<f64>,
-    pub(crate) udr_hits: Vec<u64>,
-    /// NDJSON event lines drawn inside this block, in iteration order.
-    pub(crate) events: Vec<String>,
-}
-
-impl BlockAcc {
-    pub(crate) fn new(schemes: usize) -> Self {
-        Self {
-            iterations_with_faults: 0,
-            iterations_with_ue: 0,
-            error_ratio_sum: 0.0,
-            udr_sum: vec![0.0; schemes],
-            udr_hits: vec![0u64; schemes],
-            events: Vec::new(),
-        }
-    }
-}
-
 /// What the slowdown trace measured for one scheme.
 struct TraceCost {
     nvm_reads: u64,
@@ -242,147 +223,32 @@ fn run_trace(scheme: &dyn ProtectionPolicy, config: &CompareConfig) -> TraceCost
 /// For a fixed `config.seed` the artifacts are byte-identical at any
 /// `config.threads` value.
 pub fn run_compare(config: &CompareConfig) -> CompareOutput {
-    let blocks = config.iterations.div_ceil(ITERATION_BLOCK);
-    let all: Vec<u64> = (0..blocks).collect();
-    let tagged = run_compare_blocks(config, &all);
-    merge_compare_blocks(config, tagged)
+    merge_compare_blocks(config, run_all(config))
 }
 
-/// One block's partial sums of the resilience half — the unit of work
-/// distribution, both across local threads and across fleet workers.
-pub(crate) struct CompareBlock {
-    /// Block index (`block * ITERATION_BLOCK` is its first iteration).
-    pub(crate) block: u64,
-    pub(crate) acc: BlockAcc,
-}
-
-/// Computes the resilience-half partials of the given accumulation
-/// blocks. A block's partials depend only on `(config, block)`, so any
-/// partition over threads or fleet workers yields bit-identical
-/// partials. Returned sorted by block index.
-pub(crate) fn run_compare_blocks(config: &CompareConfig, block_ids: &[u64]) -> Vec<CompareBlock> {
-    let schemes = standard_schemes();
-    let campaign = config.campaign();
-    let layout = campaign.build_layout();
-    let geometry = campaign.build_geometry(&layout);
-    let rates = campaign.rates.scaled_to(campaign.fit_per_chip);
-    let correctable_chips = campaign.correctable_chips;
-    let clonings: Vec<CloningPolicy> = schemes.iter().map(|s| s.cloning()).collect();
-    let profiles: Vec<SchemeLoss<'_>> = clonings
-        .iter()
-        .zip(schemes.iter())
-        .map(|(cloning, scheme)| SchemeLoss {
-            cloning,
-            profile: scheme.loss_profile(),
-        })
-        .collect();
-
-    let workers = config.threads.max(1).min(block_ids.len().max(1));
-    let data_lines = layout.data_lines();
-    let per_worker: Vec<Vec<CompareBlock>> = fan_out(workers, |t| {
-        let model = ResilienceModel::new(&layout, &geometry);
-        let mut history = Vec::new();
-        let mut live = Vec::new();
-        let mut chips: Vec<u32> = Vec::new();
-        let mut out = Vec::new();
-        let mut i = t;
-        while i < block_ids.len() {
-            let block = block_ids[i];
-            let lo = block * ITERATION_BLOCK;
-            let hi = (lo + ITERATION_BLOCK).min(config.iterations);
-            let mut acc = BlockAcc::new(schemes.len());
-            for iter in lo..hi {
-                let mut rng = StdRng::seed_from_u64(stream_seed(config.seed, iter));
-                sample_fault_history_into(&mut rng, &geometry, &rates, config.hours, &mut history);
-                if history.is_empty() {
-                    continue;
-                }
-                acc.iterations_with_faults += 1;
-                live.clear();
-                live.extend(history.iter().map(|t| t.record.clone()));
-                chips.clear();
-                for f in &live {
-                    for &c in &f.chips {
-                        if !chips.contains(&c) {
-                            chips.push(c);
-                        }
-                    }
-                }
-                if chips.len() <= correctable_chips {
-                    continue; // Chipkill corrects any single chip.
-                }
-                let assessments = model.assess_schemes(&live, &profiles);
-                let mut any_ue = false;
-                for (i, a) in assessments.iter().enumerate() {
-                    if a.error_data_lines > 0 || a.unverifiable_data_lines > 0 {
-                        any_ue = true;
-                    }
-                    if i == 0 {
-                        acc.error_ratio_sum += a.error_ratio(data_lines);
-                    }
-                    let udr = a.udr(data_lines);
-                    if udr > 0.0 {
-                        acc.udr_sum[i] += udr;
-                        acc.udr_hits[i] += 1;
-                        acc.events.push(
-                            Json::Obj(vec![
-                                ("event".into(), Json::Str("scheme_udr".into())),
-                                ("iter".into(), Json::Num(iter as f64)),
-                                (
-                                    "seed".into(),
-                                    Json::Str(format!(
-                                        "{:#018x}",
-                                        stream_seed(config.seed, iter)
-                                    )),
-                                ),
-                                ("scheme".into(), Json::Str(schemes[i].name().into())),
-                                ("udr".into(), Json::Num(udr)),
-                            ])
-                            .to_string(),
-                        );
-                    }
-                }
-                if any_ue {
-                    acc.iterations_with_ue += 1;
-                }
-            }
-            out.push(CompareBlock { block, acc });
-            i += workers;
-        }
-        out
-    });
-
-    let mut tagged: Vec<CompareBlock> = per_worker.into_iter().flatten().collect();
-    tagged.sort_by_key(|b| b.block);
-    tagged
-}
+/// A compare block: the resilience half's partial sums plus its
+/// `scheme_udr` events, fully rendered NDJSON lines in iteration order.
+type CompareBlock = IterBlock<String>;
 
 /// Folds block partials (in block order) into the full compare output:
 /// the deterministic slowdown half runs here, then both halves are
 /// serialized. The single reduction behind both the local runner and the
 /// fleet coordinator's merge, so their bytes cannot diverge.
-pub(crate) fn merge_compare_blocks(
-    config: &CompareConfig,
-    mut tagged: Vec<CompareBlock>,
-) -> CompareOutput {
+fn merge_compare_blocks(config: &CompareConfig, blocks: Vec<CompareBlock>) -> CompareOutput {
     let schemes = standard_schemes();
-    tagged.sort_by_key(|b| b.block);
-    let mut iterations_with_faults = 0u64;
-    let mut iterations_with_ue = 0u64;
-    let mut error_ratio_sum = 0.0f64;
-    let mut udr_sum = vec![0.0f64; schemes.len()];
-    let mut udr_hits = vec![0u64; schemes.len()];
+    let mut total = Accumulator::new(schemes.len());
     let mut udr_events: Vec<String> = Vec::new();
-    for CompareBlock { acc, .. } in tagged {
-        iterations_with_faults += acc.iterations_with_faults;
-        iterations_with_ue += acc.iterations_with_ue;
-        error_ratio_sum += acc.error_ratio_sum;
-        for i in 0..schemes.len() {
-            udr_sum[i] += acc.udr_sum[i];
-            udr_hits[i] += acc.udr_hits[i];
-        }
-        udr_events.extend(acc.events);
+    for IterBlock { acc, events, .. } in blocks {
+        total.add(&acc);
+        udr_events.extend(events);
     }
+    let Accumulator {
+        iterations_with_faults,
+        iterations_with_ue,
+        error_ratio_sum,
+        udr_sum,
+        udr_hits,
+    } = total;
     let mean_error_ratio = error_ratio_sum / config.iterations as f64;
 
     // Slowdown half: one deterministic trace per scheme, in parallel,
@@ -492,8 +358,7 @@ pub(crate) fn merge_compare_blocks(
         ndjson.push_str(line);
         ndjson.push('\n');
     }
-    for (row, obj) in rows.iter().zip(scheme_objs) {
-        let _ = row;
+    for obj in scheme_objs {
         let mut entries = vec![("event".into(), Json::Str("scheme_result".into()))];
         if let Json::Obj(fields) = obj {
             entries.extend(fields);
@@ -511,82 +376,173 @@ pub(crate) fn merge_compare_blocks(
     }
 }
 
+/// A compare job over the full scheme registry (`soteria-compare/v1`).
+/// Its blocks are the resilience half's accumulation blocks; the
+/// slowdown half runs once, in the merge.
+impl BlockJob for CompareConfig {
+    type Block = CompareBlock;
+    const KIND: &'static str = "compare";
+    const SCHEMA: &'static str = "soteria-compare/v1";
+
+    fn threads(&self) -> usize {
+        self.threads
+    }
+
+    fn total_blocks(&self) -> u64 {
+        self.iterations.div_ceil(ITERATION_BLOCK)
+    }
+
+    fn run_blocks(&self, block_ids: &[u64]) -> Vec<CompareBlock> {
+        let config = self;
+        let schemes = standard_schemes();
+        let campaign = config.campaign();
+        let layout = campaign.build_layout();
+        let geometry = campaign.build_geometry(&layout);
+        let rates = campaign.rates.scaled_to(campaign.fit_per_chip);
+        let correctable_chips = campaign.correctable_chips;
+        let clonings: Vec<CloningPolicy> = schemes.iter().map(|s| s.cloning()).collect();
+        let profiles: Vec<SchemeLoss<'_>> = clonings
+            .iter()
+            .zip(schemes.iter())
+            .map(|(cloning, scheme)| SchemeLoss {
+                cloning,
+                profile: scheme.loss_profile(),
+            })
+            .collect();
+
+        let data_lines = layout.data_lines();
+        let new_worker = || {
+            let model = ResilienceModel::new(&layout, &geometry);
+            (model, Vec::new(), Vec::new(), Vec::<u32>::new())
+        };
+        fan_out_blocks(block_ids, config.threads, new_worker, |scratch, block| {
+            let (model, history, live, chips) = scratch;
+            let lo = block * ITERATION_BLOCK;
+            let hi = (lo + ITERATION_BLOCK).min(config.iterations);
+            let mut acc = Accumulator::new(schemes.len());
+            let mut events = Vec::new();
+            for iter in lo..hi {
+                let mut rng = StdRng::seed_from_u64(stream_seed(config.seed, iter));
+                sample_fault_history_into(&mut rng, &geometry, &rates, config.hours, history);
+                if history.is_empty() {
+                    continue;
+                }
+                acc.iterations_with_faults += 1;
+                live.clear();
+                live.extend(history.iter().map(|t| t.record.clone()));
+                chips.clear();
+                for f in live.iter() {
+                    for &c in &f.chips {
+                        if !chips.contains(&c) {
+                            chips.push(c);
+                        }
+                    }
+                }
+                if chips.len() <= correctable_chips {
+                    continue; // Chipkill corrects any single chip.
+                }
+                let assessments = model.assess_schemes(live, &profiles);
+                let mut any_ue = false;
+                for (i, a) in assessments.iter().enumerate() {
+                    if a.error_data_lines > 0 || a.unverifiable_data_lines > 0 {
+                        any_ue = true;
+                    }
+                    if i == 0 {
+                        acc.error_ratio_sum += a.error_ratio(data_lines);
+                    }
+                    let udr = a.udr(data_lines);
+                    if udr > 0.0 {
+                        acc.udr_sum[i] += udr;
+                        acc.udr_hits[i] += 1;
+                        events.push(
+                            Json::Obj(vec![
+                                ("event".into(), Json::Str("scheme_udr".into())),
+                                ("iter".into(), Json::Num(iter as f64)),
+                                (
+                                    "seed".into(),
+                                    Json::Str(format!(
+                                        "{:#018x}",
+                                        stream_seed(config.seed, iter)
+                                    )),
+                                ),
+                                ("scheme".into(), Json::Str(schemes[i].name().into())),
+                                ("udr".into(), Json::Num(udr)),
+                            ])
+                            .to_string(),
+                        );
+                    }
+                }
+                if any_ue {
+                    acc.iterations_with_ue += 1;
+                }
+            }
+            IterBlock { block, acc, events }
+        })
+    }
+
+    fn block_id(block: &CompareBlock) -> u64 {
+        block.block
+    }
+
+    fn wire(&self, block: &CompareBlock) -> Json {
+        // Compare events are fully-rendered NDJSON lines already; they
+        // pass through as opaque strings.
+        block.wire(|e| Json::Str(e.clone()))
+    }
+
+    fn unwire(&self, obj: &Json) -> Result<CompareBlock, String> {
+        IterBlock::unwire(obj, standard_schemes().len(), |e| {
+            e.as_str()
+                .map(str::to_string)
+                .ok_or_else(|| "compare event must be a string".to_string())
+        })
+    }
+
+    fn merge(&self, blocks: Vec<CompareBlock>) -> (String, String) {
+        let out = merge_compare_blocks(self, blocks);
+        (out.result_json, out.ndjson)
+    }
+}
+
+/// The fields [`compare_config_from_json`] accepts, in listing order.
+pub const COMPARE_FIELDS: [&str; 6] = [
+    "fit",
+    "iterations",
+    "seed",
+    "threads",
+    "capacity_bytes",
+    "trace_ops",
+];
+
 /// Builds a [`CompareConfig`] from a JSON request body — the single
-/// parser behind `soteria compare` submissions over HTTP.
+/// parser behind `soteria compare`, `POST /v1/compare` and
+/// `soteria coordinate --kind compare`.
 ///
 /// Recognized fields (all optional; anything else is rejected):
-/// `fit`, `iterations` (≤ 10^6), `seed` (number or `"0x…"` string),
-/// `threads`, `capacity_bytes` (1 MiB–1 GiB), `trace_ops` (≤ 10^6).
+/// `fit`, `iterations` (≤ 10^6), `seed` (an integer below 2^53, or a
+/// decimal or `"0x…"` string), `threads`, `capacity_bytes`
+/// (1 MiB–1 GiB), `trace_ops` (≤ 10^6).
 ///
 /// # Errors
 ///
 /// Returns a one-line, field-naming message on any invalid input.
 pub fn compare_config_from_json(body: &Json) -> Result<CompareConfig, String> {
-    let entries = body
-        .entries()
-        .ok_or("compare config must be a JSON object")?;
-    let num = |v: &Json, field: &str| {
-        v.as_f64()
-            .ok_or_else(|| format!("field '{field}' must be a number"))
-    };
-    let positive_int = |v: &Json, field: &str| -> Result<u64, String> {
-        let n = num(v, field)?;
-        if n < 1.0 || n.fract() != 0.0 {
-            return Err(format!("field '{field}' must be a positive integer"));
-        }
-        Ok(n as u64)
-    };
     let mut config = CompareConfig::default();
-    for (key, value) in entries {
+    for (key, value) in fields_of(body, "compare")? {
         match key.as_str() {
-            "fit" => {
-                let fit = num(value, "fit")?;
-                if !(fit > 0.0 && fit.is_finite()) {
-                    return Err("field 'fit' must be a positive number".into());
-                }
-                config.fit_per_chip = fit;
-            }
-            "iterations" => {
-                let iters = positive_int(value, "iterations")?;
-                if iters > 1_000_000 {
-                    return Err("field 'iterations' must be at most 1000000".into());
-                }
-                config.iterations = iters;
-            }
-            "seed" => {
-                config.seed = match value {
-                    Json::Num(n) if n.fract() == 0.0 && *n >= 0.0 => *n as u64,
-                    Json::Str(s) => {
-                        let hex = s.strip_prefix("0x").unwrap_or(s);
-                        u64::from_str_radix(hex, 16)
-                            .map_err(|_| format!("field 'seed' has invalid hex value '{s}'"))?
-                    }
-                    _ => return Err("field 'seed' must be an integer or hex string".into()),
-                };
-            }
-            "threads" => {
-                config.threads = positive_int(value, "threads")? as usize;
-            }
+            "fit" => config.fit_per_chip = read_positive(value, "fit")?,
+            "iterations" => config.iterations = read_count(value, "iterations", 1_000_000)?,
+            "seed" => config.seed = read_seed(value)?,
+            "threads" => config.threads = read_count(value, "threads", u64::MAX)? as usize,
             "capacity_bytes" => {
-                let bytes = positive_int(value, "capacity_bytes")?;
+                let bytes = read_count(value, "capacity_bytes", u64::MAX)?;
                 if !(1 << 20..=1u64 << 30).contains(&bytes) {
                     return Err("field 'capacity_bytes' must be between 1 MiB and 1 GiB".into());
                 }
                 config.capacity_bytes = bytes;
             }
-            "trace_ops" => {
-                let ops = positive_int(value, "trace_ops")?;
-                if ops > 1_000_000 {
-                    return Err("field 'trace_ops' must be at most 1000000".into());
-                }
-                config.trace_ops = ops;
-            }
-            other => {
-                return Err(format!(
-                    "unknown field '{other}' (fit, iterations, seed, threads, capacity_bytes, \
-                     trace_ops)"
-                ))
-            }
+            "trace_ops" => config.trace_ops = read_count(value, "trace_ops", 1_000_000)?,
+            other => return Err(unknown_field(other, &COMPARE_FIELDS)),
         }
     }
     Ok(config)
@@ -689,5 +645,21 @@ mod tests {
             let err = parse(body).unwrap_err();
             assert!(err.contains(needle), "{body} -> {err}");
         }
+    }
+
+    #[test]
+    fn seeds_above_2_pow_53_are_exact_as_strings() {
+        let seed = |s: &str| compare_config_from_json(&Json::parse(s).unwrap()).map(|c| c.seed);
+        assert_eq!(
+            seed(r#"{"seed": "0x20000000000001"}"#),
+            Ok(0x20_0000_0000_0001)
+        );
+        assert_eq!(
+            seed(r#"{"seed": "9007199254740993"}"#),
+            Ok(9_007_199_254_740_993)
+        );
+        assert!(seed(r#"{"seed": 9007199254740993}"#)
+            .unwrap_err()
+            .contains("'seed'"));
     }
 }

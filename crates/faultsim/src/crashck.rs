@@ -16,9 +16,11 @@
 //!    the observed state against the committed-prefix reference model.
 //!
 //! Scripts are seeded via [`soteria_rt::rng::stream_seed`] so cells are
-//! independent; units fan out over worker threads with deterministic
-//! chunking, and each unit's sweep runs single-threaded inside, so the
-//! JSON/NDJSON report is **byte-identical for any `--threads` value**.
+//! independent. Each (cell, script) unit is one block of the
+//! [`BlockJob`] engine: units fan out over worker threads, each unit's
+//! sweep runs single-threaded inside, and the report folds units in
+//! order, so the JSON/NDJSON report is **byte-identical for any
+//! `threads` value** and across fleet shards.
 
 use soteria::clone::CloningPolicy;
 use soteria::config::TreeUpdate;
@@ -30,20 +32,19 @@ use soteria_rt::crashck::{
 };
 use soteria_rt::json::Json;
 use soteria_rt::rng::stream_seed;
-use soteria_rt::thread::parallel_map;
+use soteria_rt::thread::default_threads;
+
+use crate::job::{
+    fan_out_blocks, fields_of, read_count, read_seed, run_all, unknown_field, BlockJob,
+    STANDARD_POLICIES,
+};
+use crate::shard::{str_unwire, u64_unwire, u64_wire, usize_unwire};
 
 /// Tree-update modes of the matrix, in report order.
 const TREE_UPDATES: [(TreeUpdate, &str); 3] = [
     (TreeUpdate::Lazy, "lazy"),
     (TreeUpdate::Eager, "eager"),
     (TreeUpdate::Triad { persist_levels: 1 }, "triad1"),
-];
-
-/// Cloning policies of the matrix, in report order.
-const POLICIES: [CloningPolicy; 3] = [
-    CloningPolicy::None,
-    CloningPolicy::Relaxed,
-    CloningPolicy::Aggressive,
 ];
 
 /// Recovery paths of the matrix: Anubis shadow recovery is judged
@@ -55,8 +56,8 @@ const RECOVERIES: [(&str, OracleMode); 2] = [
 ];
 
 /// Campaign bounds. The defaults are the PR-smoke scale; the nightly
-/// exhaustive job raises them via the `SOTERIA_CRASHCK_*` env knobs
-/// (read by the CLI, not here — the library stays hermetic).
+/// exhaustive job raises them with `--scripts_per_cell`, `--max_txns`
+/// and `--max_writes`.
 #[derive(Clone, Debug)]
 pub struct CrashckConfig {
     /// Base seed; scripts draw from per-unit `stream_seed` streams.
@@ -78,7 +79,7 @@ impl Default for CrashckConfig {
             scripts_per_cell: 2,
             max_txns: 6,
             max_writes: 3,
-            threads: 1,
+            threads: default_threads(),
         }
     }
 }
@@ -234,19 +235,19 @@ fn crash_run(
     }
 }
 
-/// The verdict of one (cell, script) sweep.
-pub(crate) struct UnitResult {
-    pub(crate) cell: String,
-    pub(crate) tree: &'static str,
-    pub(crate) policy: &'static str,
-    pub(crate) recovery: &'static str,
-    pub(crate) mode: OracleMode,
-    pub(crate) seed: u64,
-    pub(crate) script: String,
-    pub(crate) txns: usize,
-    pub(crate) points: u64,
-    pub(crate) committed_total: usize,
-    pub(crate) divergence: Option<Divergence>,
+/// The verdict of one (cell, script) sweep. Opaque outside this crate.
+pub struct UnitResult {
+    cell: String,
+    tree: &'static str,
+    policy: &'static str,
+    recovery: &'static str,
+    mode: OracleMode,
+    seed: u64,
+    script: String,
+    txns: usize,
+    points: u64,
+    committed_total: usize,
+    divergence: Option<Divergence>,
 }
 
 fn run_unit(
@@ -334,29 +335,32 @@ fn describe_script(script: &[Tx]) -> String {
     groups.join(";")
 }
 
+/// The matrix's tree-update mode named `name`, with its interned label.
+fn tree_update(name: &str) -> Option<(TreeUpdate, &'static str)> {
+    TREE_UPDATES.iter().find(|(_, n)| *n == name).copied()
+}
+
+/// The matrix's recovery path named `name`, with its oracle mode.
+fn recovery_path(name: &str) -> Option<(&'static str, OracleMode)> {
+    RECOVERIES.iter().find(|(n, _)| *n == name).copied()
+}
+
 /// Re-interns unit names parsed off the fleet wire back into the fixed
 /// matrix vocabulary (`&'static str` labels plus the oracle mode implied
 /// by the recovery path).
-pub(crate) fn intern_unit_names(
+fn intern_unit_names(
     tree: &str,
     policy: &str,
     recovery: &str,
 ) -> Result<(&'static str, &'static str, &'static str, OracleMode), String> {
-    let tree = TREE_UPDATES
-        .iter()
-        .find(|(_, n)| *n == tree)
-        .map(|&(_, n)| n)
-        .ok_or_else(|| format!("unknown tree name '{tree}'"))?;
-    let policy = POLICIES
+    let (_, tree) = tree_update(tree).ok_or_else(|| format!("unknown tree name '{tree}'"))?;
+    let policy = STANDARD_POLICIES
         .iter()
         .map(CloningPolicy::name)
         .find(|n| *n == policy)
         .ok_or_else(|| format!("unknown policy name '{policy}'"))?;
-    let (recovery, mode) = RECOVERIES
-        .iter()
-        .find(|(n, _)| *n == recovery)
-        .copied()
-        .ok_or_else(|| format!("unknown recovery name '{recovery}'"))?;
+    let (recovery, mode) =
+        recovery_path(recovery).ok_or_else(|| format!("unknown recovery name '{recovery}'"))?;
     Ok((tree, policy, recovery, mode))
 }
 
@@ -379,7 +383,7 @@ fn unit_list(config: &CrashckConfig) -> Vec<UnitSpec> {
     let mut units = Vec::new();
     let mut unit_no = 0u64;
     for (update, tree_name) in TREE_UPDATES {
-        for policy in &POLICIES {
+        for policy in &STANDARD_POLICIES {
             for (recovery, mode) in RECOVERIES {
                 for _ in 0..config.scripts_per_cell.max(1) {
                     units.push((
@@ -398,51 +402,21 @@ fn unit_list(config: &CrashckConfig) -> Vec<UnitSpec> {
     units
 }
 
-/// How many units (distribution blocks) the campaign comprises.
-pub(crate) fn total_units(config: &CrashckConfig) -> u64 {
-    (TREE_UPDATES.len() * POLICIES.len() * RECOVERIES.len() * config.scripts_per_cell.max(1)) as u64
-}
-
-/// Sweeps the units whose indices appear in `unit_ids`, returning each
-/// verdict tagged with its unit index (sorted by index). A unit's
-/// verdict depends only on `(config, unit index)`, so any partition over
-/// threads or fleet workers yields identical verdicts.
-pub(crate) fn run_crashck_units(
-    config: &CrashckConfig,
-    unit_ids: &[u64],
-) -> Vec<(u64, UnitResult)> {
-    let all = unit_list(config);
-    let picked: Vec<(u64, UnitSpec)> = unit_ids
-        .iter()
-        .filter_map(|&i| all.get(i as usize).map(|u| (i, u.clone())))
-        .collect();
-    let mut results = parallel_map(picked, config.threads.max(1), |(i, unit)| {
-        let (update, tree_name, policy, recovery, mode, seed) = unit;
-        (
-            i,
-            run_unit(update, tree_name, &policy, recovery, mode, seed, config),
-        )
-    });
-    results.sort_by_key(|&(i, _)| i);
-    results
-}
+/// A crashck block: one unit's verdict, tagged with its unit index.
+type UnitBlock = (u64, UnitResult);
 
 /// Folds unit verdicts (in unit order) into the final artifacts — the
 /// single reduction behind both the local runner and the fleet
 /// coordinator's merge, so their bytes cannot diverge.
-pub(crate) fn merge_crashck_units(
-    config: &CrashckConfig,
-    mut tagged: Vec<(u64, UnitResult)>,
-) -> CrashckOutput {
-    tagged.sort_by_key(|&(i, _)| i);
-    let results: Vec<UnitResult> = tagged.into_iter().map(|(_, r)| r).collect();
-    let cells = TREE_UPDATES.len() * POLICIES.len() * RECOVERIES.len();
+fn merge_crashck_units(config: &CrashckConfig, units: Vec<UnitBlock>) -> CrashckOutput {
+    let results: Vec<UnitResult> = units.into_iter().map(|(_, r)| r).collect();
+    let cells = TREE_UPDATES.len() * STANDARD_POLICIES.len() * RECOVERIES.len();
 
     // Artifacts, folded in unit order (deterministic at any -j).
     let mut ndjson = String::new();
     let mut divergences = Vec::new();
     let mut points = 0u64;
-    let mut cell_rows: Vec<(String, Json)> = Vec::new();
+    let mut cell_rows: Vec<Json> = Vec::new();
     for r in &results {
         points += r.points;
         let diverged = r.divergence.is_some();
@@ -485,7 +459,7 @@ pub(crate) fn merge_crashck_units(
             row.push(("divergence_point".to_string(), Json::Num(d.point as f64)));
             row.push(("divergence_reason".to_string(), Json::Str(d.reason.clone())));
         }
-        cell_rows.push((String::new(), Json::Obj(row)));
+        cell_rows.push(Json::Obj(row));
     }
     let result = Json::Obj(vec![
         (
@@ -507,10 +481,7 @@ pub(crate) fn merge_crashck_units(
                 ),
             ]),
         ),
-        (
-            "sweeps".to_string(),
-            Json::Arr(cell_rows.into_iter().map(|(_, v)| v).collect()),
-        ),
+        ("sweeps".to_string(), Json::Arr(cell_rows)),
         (
             "summary".to_string(),
             Json::Obj(vec![
@@ -536,78 +507,151 @@ pub(crate) fn merge_crashck_units(
 
 /// Runs the full crash-consistency campaign described by `config`.
 pub fn run_crashck(config: &CrashckConfig) -> CrashckOutput {
-    let all: Vec<u64> = (0..total_units(config)).collect();
-    let tagged = run_crashck_units(config, &all);
-    merge_crashck_units(config, tagged)
+    merge_crashck_units(config, run_all(config))
 }
 
+/// A crashck job over the full matrix (`soteria-crashck/v1`). Its
+/// blocks are the (cell, script) units of the matrix: unit `i`
+/// always denotes the same pair for a given config, and its verdict
+/// depends only on `(config, i)`.
+impl BlockJob for CrashckConfig {
+    type Block = UnitBlock;
+    const KIND: &'static str = "crashck";
+    const SCHEMA: &'static str = "soteria-crashck/v1";
+
+    fn threads(&self) -> usize {
+        self.threads
+    }
+
+    fn total_blocks(&self) -> u64 {
+        (TREE_UPDATES.len()
+            * STANDARD_POLICIES.len()
+            * RECOVERIES.len()
+            * self.scripts_per_cell.max(1)) as u64
+    }
+
+    fn run_blocks(&self, unit_ids: &[u64]) -> Vec<UnitBlock> {
+        let all = unit_list(self);
+        let ids: Vec<u64> = unit_ids
+            .iter()
+            .copied()
+            .filter(|&i| (i as usize) < all.len())
+            .collect();
+        fan_out_blocks(
+            &ids,
+            self.threads,
+            || (),
+            |_, i| {
+                let (update, tree_name, policy, recovery, mode, seed) = &all[i as usize];
+                (
+                    i,
+                    run_unit(*update, tree_name, policy, recovery, *mode, *seed, self),
+                )
+            },
+        )
+    }
+
+    fn block_id(block: &UnitBlock) -> u64 {
+        block.0
+    }
+
+    fn wire(&self, (index, r): &UnitBlock) -> Json {
+        let mut obj = vec![
+            ("block".into(), u64_wire(*index)),
+            ("cell".into(), Json::Str(r.cell.clone())),
+            ("tree".into(), Json::Str(r.tree.into())),
+            ("policy".into(), Json::Str(r.policy.into())),
+            ("recovery".into(), Json::Str(r.recovery.into())),
+            ("seed".into(), u64_wire(r.seed)),
+            ("script".into(), Json::Str(r.script.clone())),
+            ("txns".into(), u64_wire(r.txns as u64)),
+            ("points".into(), u64_wire(r.points)),
+            ("committed".into(), u64_wire(r.committed_total as u64)),
+        ];
+        if let Some(d) = &r.divergence {
+            obj.push((
+                "divergence".into(),
+                Json::Obj(vec![
+                    ("point".into(), u64_wire(d.point)),
+                    ("reason".into(), Json::Str(d.reason.clone())),
+                    ("trace_tail".into(), Json::Str(d.trace_tail.clone())),
+                ]),
+            ));
+        }
+        Json::Obj(obj)
+    }
+
+    fn unwire(&self, obj: &Json) -> Result<UnitBlock, String> {
+        let (tree, policy, recovery, mode) = intern_unit_names(
+            str_unwire(obj.get("tree"), "tree")?,
+            str_unwire(obj.get("policy"), "policy")?,
+            str_unwire(obj.get("recovery"), "recovery")?,
+        )?;
+        let divergence = match obj.get("divergence") {
+            None => None,
+            Some(d) => Some(Divergence {
+                point: u64_unwire(d.get("point"), "divergence.point")?,
+                reason: str_unwire(d.get("reason"), "divergence.reason")?.to_string(),
+                trace_tail: str_unwire(d.get("trace_tail"), "divergence.trace_tail")?.to_string(),
+            }),
+        };
+        Ok((
+            u64_unwire(obj.get("block"), "block")?,
+            UnitResult {
+                cell: str_unwire(obj.get("cell"), "cell")?.to_string(),
+                tree,
+                policy,
+                recovery,
+                mode,
+                seed: u64_unwire(obj.get("seed"), "seed")?,
+                script: str_unwire(obj.get("script"), "script")?.to_string(),
+                txns: usize_unwire(obj.get("txns"), "txns")?,
+                points: u64_unwire(obj.get("points"), "points")?,
+                committed_total: usize_unwire(obj.get("committed"), "committed")?,
+                divergence,
+            },
+        ))
+    }
+
+    fn merge(&self, blocks: Vec<UnitBlock>) -> (String, String) {
+        let out = merge_crashck_units(self, blocks);
+        (out.result_json, out.ndjson)
+    }
+}
+
+/// The fields [`crashck_config_from_json`] accepts, in listing order.
+pub const CRASHCK_FIELDS: [&str; 5] = [
+    "seed",
+    "scripts_per_cell",
+    "max_txns",
+    "max_writes",
+    "threads",
+];
+
 /// Builds a [`CrashckConfig`] from a JSON request body — the single
-/// parser behind `soteria crashck` submissions over HTTP.
+/// parser behind `soteria crashck`, `POST /v1/crashck` and
+/// `soteria coordinate --kind crashck`.
 ///
 /// Recognized fields (all optional; anything else is rejected):
-/// `seed` (number or `"0x…"` string), `scripts_per_cell` (≤ 64),
-/// `max_txns` (≤ 16), `max_writes` (≤ 8), `threads`.
+/// `seed` (an integer below 2^53, or a decimal or `"0x…"` string),
+/// `scripts_per_cell` (≤ 64), `max_txns` (≤ 16), `max_writes` (≤ 8),
+/// `threads` (default: every core).
 ///
 /// # Errors
 ///
 /// Returns a one-line, field-naming message on any invalid input.
 pub fn crashck_config_from_json(body: &Json) -> Result<CrashckConfig, String> {
-    let entries = body
-        .entries()
-        .ok_or("crashck config must be a JSON object")?;
-    let positive_int = |v: &Json, field: &str| -> Result<u64, String> {
-        let n = v
-            .as_f64()
-            .ok_or_else(|| format!("field '{field}' must be a number"))?;
-        if n < 1.0 || n.fract() != 0.0 {
-            return Err(format!("field '{field}' must be a positive integer"));
-        }
-        Ok(n as u64)
-    };
     let mut config = CrashckConfig::default();
-    for (key, value) in entries {
+    for (key, value) in fields_of(body, "crashck")? {
         match key.as_str() {
-            "seed" => {
-                config.seed = match value {
-                    Json::Num(n) if n.fract() == 0.0 && *n >= 0.0 => *n as u64,
-                    Json::Str(s) => {
-                        let hex = s.strip_prefix("0x").unwrap_or(s);
-                        u64::from_str_radix(hex, 16)
-                            .map_err(|_| format!("field 'seed' has invalid hex value '{s}'"))?
-                    }
-                    _ => return Err("field 'seed' must be an integer or hex string".into()),
-                };
-            }
+            "seed" => config.seed = read_seed(value)?,
             "scripts_per_cell" => {
-                let n = positive_int(value, "scripts_per_cell")?;
-                if n > 64 {
-                    return Err("field 'scripts_per_cell' must be at most 64".into());
-                }
-                config.scripts_per_cell = n as usize;
+                config.scripts_per_cell = read_count(value, "scripts_per_cell", 64)? as usize;
             }
-            "max_txns" => {
-                let n = positive_int(value, "max_txns")?;
-                if n > 16 {
-                    return Err("field 'max_txns' must be at most 16".into());
-                }
-                config.max_txns = n as usize;
-            }
-            "max_writes" => {
-                let n = positive_int(value, "max_writes")?;
-                if n > 8 {
-                    return Err("field 'max_writes' must be at most 8".into());
-                }
-                config.max_writes = n as usize;
-            }
-            "threads" => {
-                config.threads = positive_int(value, "threads")? as usize;
-            }
-            other => {
-                return Err(format!(
-                    "unknown field '{other}' (seed, scripts_per_cell, max_txns, max_writes, \
-                     threads)"
-                ))
-            }
+            "max_txns" => config.max_txns = read_count(value, "max_txns", 16)? as usize,
+            "max_writes" => config.max_writes = read_count(value, "max_writes", 8)? as usize,
+            "threads" => config.threads = read_count(value, "threads", u64::MAX)? as usize,
+            other => return Err(unknown_field(other, &CRASHCK_FIELDS)),
         }
     }
     Ok(config)
@@ -630,18 +674,10 @@ pub fn sweep_cell(
     max_txns: usize,
     max_writes: usize,
 ) -> (u64, Option<CellDivergence>) {
-    let (update, tree_name) = TREE_UPDATES
-        .iter()
-        .find(|(_, name)| *name == tree)
-        .copied()
-        // lint:allow(P1, test harness entry point with a fixed name set)
-        .expect("known tree-update name");
-    let (recovery, mode) = RECOVERIES
-        .iter()
-        .find(|(name, _)| *name == recovery)
-        .copied()
-        // lint:allow(P1, test harness entry point with a fixed name set)
-        .expect("known recovery name");
+    // lint:allow(P1, test harness entry point with a fixed name set)
+    let (update, tree_name) = tree_update(tree).expect("known tree-update name");
+    // lint:allow(P1, test harness entry point with a fixed name set)
+    let (recovery, mode) = recovery_path(recovery).expect("known recovery name");
     let config = CrashckConfig {
         seed,
         scripts_per_cell: 1,
@@ -688,5 +724,24 @@ mod tests {
         });
         assert_eq!(one.result_json, four.result_json);
         assert_eq!(one.ndjson, four.ndjson);
+    }
+
+    #[test]
+    fn seeds_above_2_pow_53_are_exact_as_strings() {
+        let seed = |s: &str| crashck_config_from_json(&Json::parse(s).unwrap()).map(|c| c.seed);
+        assert_eq!(
+            seed(r#"{"seed": "0x20000000000001"}"#),
+            Ok(0x20_0000_0000_0001)
+        );
+        assert_eq!(
+            seed(r#"{"seed": "9007199254740993"}"#),
+            Ok(9_007_199_254_740_993)
+        );
+        assert!(seed(r#"{"seed": 9007199254740993}"#)
+            .unwrap_err()
+            .contains("'seed'"));
+        assert!(seed(r#"{"scripts": 1}"#)
+            .unwrap_err()
+            .contains("unknown field 'scripts'"));
     }
 }

@@ -44,7 +44,8 @@ pub use crashck::{
     CrashckOutput,
 };
 pub use job::{
-    config_from_json, report_json, run_job, run_spec, JobOutput, JobSpec, STANDARD_POLICIES,
+    config_from_json, report_json, run_job, run_spec, AnyJob, BlockJob, JobOutput, JobSpec,
+    STANDARD_POLICIES,
 };
 pub use rare::{estimate_clone_udr, RareEventResult};
 pub use shard::{blocks_spec_from_json, merge_partials, run_block_range, total_blocks};

@@ -1,15 +1,15 @@
-//! Block-sharded job execution for the campaign fleet.
+//! The fleet's wire layer for block-sharded jobs.
 //!
-//! Every campaign-shaped job in this crate already folds fixed
-//! accumulation blocks in block order, so its artifacts are
-//! byte-identical at any thread count. This module extends that
-//! contract across *machines*: a coordinator splits a job's block range
-//! over workers, each worker computes its blocks' partial sums with
-//! [`run_block_range`], and [`merge_partials`] folds the partials back
-//! through the **same** reduction the single-node runner uses — so the
-//! merged artifact is byte-identical to `soteria campaign --json` (or
-//! `compare`, or `crashck`) at the same seed, regardless of shard count
-//! or worker failures.
+//! Every job kind is a [`crate::job::BlockJob`]: fixed blocks folded in
+//! block order, so its artifacts are byte-identical at any thread count.
+//! This module carries that contract across *machines*: a coordinator
+//! splits a job's block range over workers, each worker computes its
+//! blocks with [`run_block_range`], and [`merge_partials`] folds the
+//! partials back through the **same** `merge` the single-node runner
+//! uses — so the merged artifact is byte-identical to
+//! `soteria campaign --json` (or `compare`, or `crashck`) at the same
+//! seed, regardless of shard count or worker failures. The three entry
+//! points here delegate to the generic driver, [`crate::job::AnyJob`].
 //!
 //! Two wire rules keep the contract exact:
 //!
@@ -24,14 +24,7 @@
 use soteria_rt::json::Json;
 use soteria_rt::obs::{Field, TraceEvent};
 
-use crate::campaign::{
-    merge_campaign_blocks, run_campaign_blocks, Accumulator, CampaignBlock, ITERATION_BLOCK,
-};
-use crate::compare::{merge_compare_blocks, run_compare_blocks, BlockAcc, CompareBlock};
-use crate::crashck::{
-    intern_unit_names, merge_crashck_units, run_crashck_units, total_units, UnitResult,
-};
-use crate::job::{report_json, JobSpec, STANDARD_POLICIES};
+use crate::job::JobSpec;
 
 /// The partial-artifact schema version.
 pub const BLOCKS_SCHEMA: &str = "soteria-blocks/v1";
@@ -39,16 +32,12 @@ pub const BLOCKS_SCHEMA: &str = "soteria-blocks/v1";
 /// How many distribution blocks `spec` comprises (the coordinator
 /// shards the range `0..total_blocks` over its workers).
 ///
-/// Campaign and compare jobs shard on [`ITERATION_BLOCK`]-sized
-/// accumulation blocks; crashck jobs shard on matrix units. A `Blocks`
-/// spec delegates to its inner job.
+/// Campaign and compare jobs shard on
+/// [`crate::campaign::ITERATION_BLOCK`]-sized accumulation blocks;
+/// crashck jobs shard on matrix units. A `Blocks` spec delegates to its
+/// inner job.
 pub fn total_blocks(spec: &JobSpec) -> u64 {
-    match spec {
-        JobSpec::Campaign(c) => c.iterations.div_ceil(ITERATION_BLOCK),
-        JobSpec::Compare(c) => c.iterations.div_ceil(ITERATION_BLOCK),
-        JobSpec::Crashck(c) => total_units(c),
-        JobSpec::Blocks { spec, .. } => total_blocks(spec),
-    }
+    spec.job().total_blocks()
 }
 
 /// Computes the partial sums of blocks `lo..hi` of `spec` and
@@ -58,39 +47,7 @@ pub fn total_blocks(spec: &JobSpec) -> u64 {
 /// An out-of-range or empty range yields a document with an empty
 /// `blocks` array (the merge will then report the missing coverage).
 pub fn run_block_range(spec: &JobSpec, lo: u64, hi: u64) -> Json {
-    let hi = hi.min(total_blocks(spec));
-    let ids: Vec<u64> = (lo..hi).collect();
-    let (kind, blocks) = match spec {
-        JobSpec::Campaign(config) => (
-            "campaign",
-            run_campaign_blocks(config, &STANDARD_POLICIES, &ids)
-                .into_iter()
-                .map(|b| campaign_block_wire(&b))
-                .collect(),
-        ),
-        JobSpec::Compare(config) => (
-            "compare",
-            run_compare_blocks(config, &ids)
-                .into_iter()
-                .map(|b| compare_block_wire(&b))
-                .collect(),
-        ),
-        JobSpec::Crashck(config) => (
-            "crashck",
-            run_crashck_units(config, &ids)
-                .into_iter()
-                .map(|(i, r)| crashck_unit_wire(i, &r))
-                .collect(),
-        ),
-        JobSpec::Blocks { spec, .. } => return run_block_range(spec, lo, hi),
-    };
-    Json::Obj(vec![
-        ("schema".into(), Json::Str(BLOCKS_SCHEMA.into())),
-        ("kind".into(), Json::Str(kind.into())),
-        ("lo".into(), u64_wire(lo)),
-        ("hi".into(), u64_wire(hi)),
-        ("blocks".into(), Json::Arr(blocks)),
-    ])
+    spec.job().run_block_range(lo, hi)
 }
 
 /// Folds partial documents back into the final `(result_json, ndjson)`
@@ -107,98 +64,18 @@ pub fn run_block_range(spec: &JobSpec, lo: u64, hi: u64) -> Json {
 /// Returns a one-line message on a malformed partial, a kind mismatch,
 /// or incomplete block coverage.
 pub fn merge_partials(spec: &JobSpec, partials: &[Json]) -> Result<(String, String), String> {
-    let kind = match spec {
-        JobSpec::Campaign(_) => "campaign",
-        JobSpec::Compare(_) => "compare",
-        JobSpec::Crashck(_) => "crashck",
-        JobSpec::Blocks { spec, .. } => return merge_partials(spec, partials),
-    };
-    let mut raw: Vec<&Json> = Vec::new();
-    for doc in partials {
-        let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
-        if schema != BLOCKS_SCHEMA {
-            return Err(format!("partial has schema '{schema}', expected '{BLOCKS_SCHEMA}'"));
-        }
-        let got = doc.get("kind").and_then(Json::as_str).unwrap_or("");
-        if got != kind {
-            return Err(format!("partial has kind '{got}', expected '{kind}'"));
-        }
-        let blocks = doc
-            .get("blocks")
-            .and_then(Json::as_array)
-            .ok_or("partial is missing its 'blocks' array")?;
-        raw.extend(blocks.iter());
-    }
-
-    let total = total_blocks(spec);
-    match spec {
-        JobSpec::Campaign(config) => {
-            let mut blocks = Vec::with_capacity(raw.len());
-            for obj in raw {
-                blocks.push(campaign_block_unwire(obj)?);
-            }
-            let blocks = dedup_covered(blocks, |b: &CampaignBlock| b.block, total)?;
-            let (results, trace) = merge_campaign_blocks(config, &STANDARD_POLICIES, blocks);
-            Ok((
-                report_json(config, &results, &trace).to_pretty_string(),
-                trace.export_ndjson(),
-            ))
-        }
-        JobSpec::Compare(config) => {
-            let mut blocks = Vec::with_capacity(raw.len());
-            for obj in raw {
-                blocks.push(compare_block_unwire(obj)?);
-            }
-            let blocks = dedup_covered(blocks, |b: &CompareBlock| b.block, total)?;
-            let output = merge_compare_blocks(config, blocks);
-            Ok((output.result_json, output.ndjson))
-        }
-        JobSpec::Crashck(config) => {
-            let mut units = Vec::with_capacity(raw.len());
-            for obj in raw {
-                units.push(crashck_unit_unwire(obj)?);
-            }
-            let units = dedup_covered(units, |u: &(u64, UnitResult)| u.0, total)?;
-            let output = merge_crashck_units(config, units);
-            Ok((output.result_json, output.ndjson))
-        }
-        JobSpec::Blocks { .. } => unreachable!("delegated above"),
-    }
-}
-
-/// Sorts tagged blocks, drops duplicate indices (first copy wins —
-/// duplicates are bit-identical by the partial contract), and verifies
-/// the surviving indices are exactly `0..total`.
-fn dedup_covered<T>(
-    mut blocks: Vec<T>,
-    index: impl Fn(&T) -> u64,
-    total: u64,
-) -> Result<Vec<T>, String> {
-    blocks.sort_by_key(&index);
-    blocks.dedup_by_key(|b| index(b));
-    for expect in 0..total {
-        match blocks.get(expect as usize) {
-            Some(b) if index(b) == expect => {}
-            _ => return Err(format!("merge is missing block {expect} of {total}")),
-        }
-    }
-    if blocks.len() as u64 > total {
-        return Err(format!(
-            "merge holds a block past the job's {total} blocks"
-        ));
-    }
-    Ok(blocks)
+    spec.job().merge_partials(partials)
 }
 
 // ---------------------------------------------------------------------
 // Scalar wire forms: u64 as hex text, f64 as the hex of its bits.
 // ---------------------------------------------------------------------
 
-fn u64_wire(v: u64) -> Json {
+pub(crate) fn u64_wire(v: u64) -> Json {
     Json::Str(format!("{v:#x}"))
 }
 
-fn u64_unwire(v: Option<&Json>, what: &str) -> Result<u64, String> {
+pub(crate) fn u64_unwire(v: Option<&Json>, what: &str) -> Result<u64, String> {
     let s = v
         .and_then(Json::as_str)
         .ok_or_else(|| format!("partial field '{what}' must be a hex string"))?;
@@ -210,32 +87,24 @@ fn u64_unwire(v: Option<&Json>, what: &str) -> Result<u64, String> {
 /// the block fold is a fixed-order sum of exactly these values, so a
 /// decimal round-trip (even a "shortest round-trip" printer) must never
 /// sit between a worker and the merge.
-fn f64_wire(v: f64) -> Json {
+pub(crate) fn f64_wire(v: f64) -> Json {
     Json::Str(format!("{:016x}", v.to_bits()))
 }
 
-fn f64_unwire(v: Option<&Json>, what: &str) -> Result<f64, String> {
+pub(crate) fn f64_unwire(v: Option<&Json>, what: &str) -> Result<f64, String> {
     Ok(f64::from_bits(u64_unwire(v, what)?))
 }
 
-fn usize_unwire(v: Option<&Json>, what: &str) -> Result<usize, String> {
+pub(crate) fn usize_unwire(v: Option<&Json>, what: &str) -> Result<usize, String> {
     Ok(u64_unwire(v, what)? as usize)
 }
 
-fn str_unwire<'a>(v: Option<&'a Json>, what: &str) -> Result<&'a str, String> {
+pub(crate) fn str_unwire<'a>(v: Option<&'a Json>, what: &str) -> Result<&'a str, String> {
     v.and_then(Json::as_str)
         .ok_or_else(|| format!("partial field '{what}' must be a string"))
 }
 
-fn f64_vec_wire(vs: &[f64]) -> Json {
-    Json::Arr(vs.iter().map(|&v| f64_wire(v)).collect())
-}
-
-fn u64_vec_wire(vs: &[u64]) -> Json {
-    Json::Arr(vs.iter().map(|&v| u64_wire(v)).collect())
-}
-
-fn arr_unwire<'a>(v: Option<&'a Json>, what: &str) -> Result<&'a [Json], String> {
+pub(crate) fn arr_unwire<'a>(v: Option<&'a Json>, what: &str) -> Result<&'a [Json], String> {
     v.and_then(Json::as_array)
         .ok_or_else(|| format!("partial field '{what}' must be an array"))
 }
@@ -313,7 +182,7 @@ fn field_unwire(obj: &Json) -> Result<Field, String> {
     }
 }
 
-fn event_wire(event: &TraceEvent) -> Json {
+pub(crate) fn event_wire(event: &TraceEvent) -> Json {
     Json::Obj(vec![
         ("d".into(), Json::Str(event.domain.into())),
         ("n".into(), Json::Str(event.name.into())),
@@ -332,7 +201,7 @@ fn event_wire(event: &TraceEvent) -> Json {
     ])
 }
 
-fn event_unwire(obj: &Json) -> Result<TraceEvent, String> {
+pub(crate) fn event_unwire(obj: &Json) -> Result<TraceEvent, String> {
     let domain = intern(str_unwire(obj.get("d"), "d")?)?;
     let name = intern(str_unwire(obj.get("n"), "n")?)?;
     let mut fields = Vec::new();
@@ -349,156 +218,6 @@ fn event_unwire(obj: &Json) -> Result<TraceEvent, String> {
         fields.push((key, field_unwire(&items[1])?));
     }
     Ok(TraceEvent::new(domain, name, fields))
-}
-
-// ---------------------------------------------------------------------
-// Per-kind block wire forms.
-// ---------------------------------------------------------------------
-
-fn campaign_block_wire(b: &CampaignBlock) -> Json {
-    Json::Obj(vec![
-        ("block".into(), u64_wire(b.block)),
-        ("faults".into(), u64_wire(b.acc.iterations_with_faults)),
-        ("ue".into(), u64_wire(b.acc.iterations_with_ue)),
-        ("err".into(), f64_wire(b.acc.error_ratio_sum)),
-        ("udr_sum".into(), f64_vec_wire(&b.acc.per_policy_udr_sum)),
-        ("udr_hits".into(), u64_vec_wire(&b.acc.per_policy_udr_hits)),
-        (
-            "events".into(),
-            Json::Arr(b.events.iter().map(event_wire).collect()),
-        ),
-    ])
-}
-
-fn campaign_block_unwire(obj: &Json) -> Result<CampaignBlock, String> {
-    let mut acc = Accumulator::new(STANDARD_POLICIES.len());
-    acc.iterations_with_faults = u64_unwire(obj.get("faults"), "faults")?;
-    acc.iterations_with_ue = u64_unwire(obj.get("ue"), "ue")?;
-    acc.error_ratio_sum = f64_unwire(obj.get("err"), "err")?;
-    let sums = arr_unwire(obj.get("udr_sum"), "udr_sum")?;
-    let hits = arr_unwire(obj.get("udr_hits"), "udr_hits")?;
-    if sums.len() != STANDARD_POLICIES.len() || hits.len() != STANDARD_POLICIES.len() {
-        return Err(format!(
-            "campaign block must carry {} per-policy sums",
-            STANDARD_POLICIES.len()
-        ));
-    }
-    for (i, v) in sums.iter().enumerate() {
-        acc.per_policy_udr_sum[i] = f64_unwire(Some(v), "udr_sum")?;
-    }
-    for (i, v) in hits.iter().enumerate() {
-        acc.per_policy_udr_hits[i] = u64_unwire(Some(v), "udr_hits")?;
-    }
-    let mut events = Vec::new();
-    for e in arr_unwire(obj.get("events"), "events")? {
-        events.push(event_unwire(e)?);
-    }
-    Ok(CampaignBlock {
-        block: u64_unwire(obj.get("block"), "block")?,
-        acc,
-        events,
-    })
-}
-
-fn compare_block_wire(b: &CompareBlock) -> Json {
-    Json::Obj(vec![
-        ("block".into(), u64_wire(b.block)),
-        ("faults".into(), u64_wire(b.acc.iterations_with_faults)),
-        ("ue".into(), u64_wire(b.acc.iterations_with_ue)),
-        ("err".into(), f64_wire(b.acc.error_ratio_sum)),
-        ("udr_sum".into(), f64_vec_wire(&b.acc.udr_sum)),
-        ("udr_hits".into(), u64_vec_wire(&b.acc.udr_hits)),
-        (
-            "events".into(),
-            // Compare events are fully-rendered NDJSON lines already;
-            // they pass through as opaque strings.
-            Json::Arr(b.acc.events.iter().map(|e| Json::Str(e.clone())).collect()),
-        ),
-    ])
-}
-
-fn compare_block_unwire(obj: &Json) -> Result<CompareBlock, String> {
-    let sums = arr_unwire(obj.get("udr_sum"), "udr_sum")?;
-    let hits = arr_unwire(obj.get("udr_hits"), "udr_hits")?;
-    if sums.len() != hits.len() {
-        return Err("compare block's udr_sum and udr_hits lengths differ".into());
-    }
-    let mut acc = BlockAcc::new(sums.len());
-    acc.iterations_with_faults = u64_unwire(obj.get("faults"), "faults")?;
-    acc.iterations_with_ue = u64_unwire(obj.get("ue"), "ue")?;
-    acc.error_ratio_sum = f64_unwire(obj.get("err"), "err")?;
-    for (i, v) in sums.iter().enumerate() {
-        acc.udr_sum[i] = f64_unwire(Some(v), "udr_sum")?;
-    }
-    for (i, v) in hits.iter().enumerate() {
-        acc.udr_hits[i] = u64_unwire(Some(v), "udr_hits")?;
-    }
-    for e in arr_unwire(obj.get("events"), "events")? {
-        acc.events
-            .push(e.as_str().ok_or("compare event must be a string")?.to_string());
-    }
-    Ok(CompareBlock {
-        block: u64_unwire(obj.get("block"), "block")?,
-        acc,
-    })
-}
-
-fn crashck_unit_wire(index: u64, r: &UnitResult) -> Json {
-    let mut obj = vec![
-        ("block".into(), u64_wire(index)),
-        ("cell".into(), Json::Str(r.cell.clone())),
-        ("tree".into(), Json::Str(r.tree.into())),
-        ("policy".into(), Json::Str(r.policy.into())),
-        ("recovery".into(), Json::Str(r.recovery.into())),
-        ("seed".into(), u64_wire(r.seed)),
-        ("script".into(), Json::Str(r.script.clone())),
-        ("txns".into(), u64_wire(r.txns as u64)),
-        ("points".into(), u64_wire(r.points)),
-        ("committed".into(), u64_wire(r.committed_total as u64)),
-    ];
-    if let Some(d) = &r.divergence {
-        obj.push((
-            "divergence".into(),
-            Json::Obj(vec![
-                ("point".into(), u64_wire(d.point)),
-                ("reason".into(), Json::Str(d.reason.clone())),
-                ("trace_tail".into(), Json::Str(d.trace_tail.clone())),
-            ]),
-        ));
-    }
-    Json::Obj(obj)
-}
-
-fn crashck_unit_unwire(obj: &Json) -> Result<(u64, UnitResult), String> {
-    let (tree, policy, recovery, mode) = intern_unit_names(
-        str_unwire(obj.get("tree"), "tree")?,
-        str_unwire(obj.get("policy"), "policy")?,
-        str_unwire(obj.get("recovery"), "recovery")?,
-    )?;
-    let divergence = match obj.get("divergence") {
-        None => None,
-        Some(d) => Some(soteria_rt::crashck::Divergence {
-            point: u64_unwire(d.get("point"), "divergence.point")?,
-            reason: str_unwire(d.get("reason"), "divergence.reason")?.to_string(),
-            trace_tail: str_unwire(d.get("trace_tail"), "divergence.trace_tail")?.to_string(),
-        }),
-    };
-    Ok((
-        u64_unwire(obj.get("block"), "block")?,
-        UnitResult {
-            cell: str_unwire(obj.get("cell"), "cell")?.to_string(),
-            tree,
-            policy,
-            recovery,
-            mode,
-            seed: u64_unwire(obj.get("seed"), "seed")?,
-            script: str_unwire(obj.get("script"), "script")?.to_string(),
-            txns: usize_unwire(obj.get("txns"), "txns")?,
-            points: u64_unwire(obj.get("points"), "points")?,
-            committed_total: usize_unwire(obj.get("committed"), "committed")?,
-            divergence,
-        },
-    ))
 }
 
 /// Parses a `POST /v1/blocks` request body into a [`JobSpec::Blocks`]:
@@ -530,17 +249,7 @@ pub fn blocks_spec_from_json(body: &Json) -> Result<JobSpec, String> {
         return Err("field 'hi' must be greater than 'lo'".into());
     }
     let default = Json::Obj(Vec::new());
-    let config = body.get("config").unwrap_or(&default);
-    let inner = match kind {
-        "campaign" => JobSpec::Campaign(crate::job::config_from_json(config)?),
-        "compare" => JobSpec::Compare(crate::compare::compare_config_from_json(config)?),
-        "crashck" => JobSpec::Crashck(crate::crashck::crashck_config_from_json(config)?),
-        other => {
-            return Err(format!(
-                "unknown kind '{other}' (campaign, compare, crashck)"
-            ))
-        }
-    };
+    let inner = JobSpec::from_kind(kind, body.get("config").unwrap_or(&default))?;
     if hi > total_blocks(&inner) {
         return Err(format!(
             "field 'hi' exceeds the job's {} blocks",

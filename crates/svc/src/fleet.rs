@@ -34,10 +34,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use soteria_faultsim::{
-    compare_config_from_json, config_from_json, crashck_config_from_json, merge_partials,
-    total_blocks, JobSpec,
-};
+use soteria_faultsim::{merge_partials, total_blocks, JobSpec};
 use soteria_rt::json::Json;
 
 use crate::client::{self, ClientConfig};
@@ -377,7 +374,7 @@ impl Coordinator {
     /// A one-line message when the config is invalid, no worker ever
     /// registers, or every worker dies before coverage completes.
     pub fn run(self, kind: &str, config_body: &Json) -> Result<(String, String), String> {
-        let spec = parse_spec(kind, config_body)?;
+        let spec = JobSpec::from_kind(kind, config_body)?;
         let total = total_blocks(&spec);
         let shared = &*self.shared;
         let config = &self.config;
@@ -458,17 +455,6 @@ impl Coordinator {
         });
         let partials = outcome?;
         merge_partials(&spec, &partials)
-    }
-}
-
-/// Parses a job `kind` + config body into the (non-`Blocks`) spec the
-/// coordinator shards and merges.
-fn parse_spec(kind: &str, config_body: &Json) -> Result<JobSpec, String> {
-    match kind {
-        "campaign" => Ok(JobSpec::Campaign(config_from_json(config_body)?)),
-        "compare" => Ok(JobSpec::Compare(compare_config_from_json(config_body)?)),
-        "crashck" => Ok(JobSpec::Crashck(crashck_config_from_json(config_body)?)),
-        other => Err(format!("unknown kind '{other}' (campaign, compare, crashck)")),
     }
 }
 

@@ -34,10 +34,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
 
-use soteria_faultsim::{
-    blocks_spec_from_json, compare_config_from_json, config_from_json, crashck_config_from_json,
-    run_spec, JobSpec,
-};
+use soteria_faultsim::{blocks_spec_from_json, run_spec, JobSpec};
 use soteria_rt::json::Json;
 use soteria_rt::obs::Metrics;
 
@@ -277,22 +274,37 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
+/// The job-submission endpoints: path, the kind its body is parsed as
+/// (`blocks` for a fleet shard, else a [`JobSpec::from_kind`] kind), and
+/// its latency metric name.
+const JOB_ROUTES: [(&str, &str, &str); 4] = [
+    (
+        "/v1/campaigns",
+        "campaign",
+        "latency_ns{endpoint=\"campaigns\"}",
+    ),
+    ("/v1/compare", "compare", "latency_ns{endpoint=\"compare\"}"),
+    ("/v1/crashck", "crashck", "latency_ns{endpoint=\"crashck\"}"),
+    ("/v1/blocks", "blocks", "latency_ns{endpoint=\"blocks\"}"),
+];
+
+fn job_route(path: &str) -> Option<(&'static str, &'static str)> {
+    JOB_ROUTES
+        .iter()
+        .find(|(p, _, _)| *p == path)
+        .map(|&(_, kind, metric)| (kind, metric))
+}
+
 /// The endpoint label used in per-endpoint latency metric names. The
 /// `Metrics` registry keys on `&'static str`, so the Prometheus label
 /// pair is baked into the name and split back out at render time.
 pub(crate) fn latency_metric(path: &str) -> &'static str {
-    if path == "/healthz" {
+    if let Some((_, metric)) = job_route(path) {
+        metric
+    } else if path == "/healthz" {
         "latency_ns{endpoint=\"healthz\"}"
     } else if path == "/metrics" {
         "latency_ns{endpoint=\"metrics\"}"
-    } else if path == "/v1/campaigns" {
-        "latency_ns{endpoint=\"campaigns\"}"
-    } else if path == "/v1/compare" {
-        "latency_ns{endpoint=\"compare\"}"
-    } else if path == "/v1/crashck" {
-        "latency_ns{endpoint=\"crashck\"}"
-    } else if path == "/v1/blocks" {
-        "latency_ns{endpoint=\"blocks\"}"
     } else if path.starts_with("/v1/jobs/") {
         "latency_ns{endpoint=\"jobs\"}"
     } else if path == "/v1/shutdown" {
@@ -338,14 +350,10 @@ pub(crate) fn route(
         (_, "/healthz") => Err(method_not_allowed(req, "GET")),
         ("GET", "/metrics") => Ok(metrics_response(shared)),
         (_, "/metrics") => Err(method_not_allowed(req, "GET")),
-        ("POST", "/v1/campaigns") => submit_job(shared, config, req),
-        (_, "/v1/campaigns") => Err(method_not_allowed(req, "POST")),
-        ("POST", "/v1/compare") => submit_job(shared, config, req),
-        (_, "/v1/compare") => Err(method_not_allowed(req, "POST")),
-        ("POST", "/v1/crashck") => submit_job(shared, config, req),
-        (_, "/v1/crashck") => Err(method_not_allowed(req, "POST")),
-        ("POST", "/v1/blocks") => submit_job(shared, config, req),
-        (_, "/v1/blocks") => Err(method_not_allowed(req, "POST")),
+        (method, path) if job_route(path).is_some() => match method {
+            "POST" => submit_job(shared, config, req),
+            _ => Err(method_not_allowed(req, "POST")),
+        },
         ("POST", "/v1/shutdown") => {
             shared.begin_drain();
             Ok(Response::json(
@@ -373,12 +381,7 @@ fn submit_job(
     config: &ServerConfig,
     req: &Request,
 ) -> Result<Response, SvcError> {
-    let kind = match req.path.as_str() {
-        "/v1/compare" => "compare",
-        "/v1/crashck" => "crashck",
-        "/v1/blocks" => "blocks",
-        _ => "campaign",
-    };
+    let (kind, _) = job_route(&req.path).unwrap_or(("campaign", ""));
     let text = std::str::from_utf8(&req.body)
         .map_err(|_| SvcError::BadRequest(format!("{kind} config must be UTF-8 JSON")))?;
     if text.trim().is_empty() {
@@ -389,11 +392,10 @@ fn submit_job(
     let body = Json::parse(text)
         .map_err(|e| SvcError::BadRequest(format!("config is not valid JSON: {e}")))?;
     let spec = match kind {
-        "compare" => JobSpec::Compare(compare_config_from_json(&body).map_err(SvcError::BadRequest)?),
-        "crashck" => JobSpec::Crashck(crashck_config_from_json(&body).map_err(SvcError::BadRequest)?),
-        "blocks" => blocks_spec_from_json(&body).map_err(SvcError::BadRequest)?,
-        _ => JobSpec::Campaign(config_from_json(&body).map_err(SvcError::BadRequest)?),
-    };
+        "blocks" => blocks_spec_from_json(&body),
+        _ => JobSpec::from_kind(kind, &body),
+    }
+    .map_err(SvcError::BadRequest)?;
     let mut st = shared.state.lock().unwrap();
     if st.draining {
         return Err(SvcError::Draining);

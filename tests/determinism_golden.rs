@@ -1,7 +1,7 @@
 //! Golden-seed determinism gate for the fault-campaign artifacts.
 //!
 //! The fixtures in `tests/golden/` were captured from the CLI
-//! (`soteria campaign --fit 1500 --iters 200 --seed 0xc1 --threads 3
+//! (`soteria campaign --fit 1500 --iterations 200 --seed 0xc1 --threads 3
 //! --json ... --trace ...`) **before** the deterministic-collection
 //! migrations (HashMap → BTreeMap in `soteria-nvm`, HashSet → BTreeSet
 //! in `soteria`), so this test proves two things at once:
