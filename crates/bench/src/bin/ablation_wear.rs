@@ -10,6 +10,7 @@
 use soteria::clone::CloningPolicy;
 use soteria::{DataAddr, Fidelity, SecureMemoryConfig, SecureMemoryController};
 use soteria_bench::{env_u64, header};
+use soteria_faultsim::STANDARD_POLICIES;
 use soteria_workloads::{SuiteConfig, Workload};
 
 fn run(policy: CloningPolicy, ops: u64) -> (u64, u64, f64, String) {
@@ -60,11 +61,7 @@ fn main() {
         "scheme", "writes", "hottest line", "imbalance", "hot region"
     );
     println!("{}", "-".repeat(66));
-    for policy in [
-        CloningPolicy::None,
-        CloningPolicy::Relaxed,
-        CloningPolicy::Aggressive,
-    ] {
+    for policy in STANDARD_POLICIES {
         let name = policy.name();
         let (total, hot, imbalance, region) = run(policy, ops);
         println!(

@@ -13,7 +13,9 @@ use soteria::clone::CloningPolicy;
 use std::io::Write;
 
 use soteria_bench::{csv_sink, env_u64, geomean, header};
-use soteria_faultsim::{cluster_mtbf_hours, estimate_clone_udr, run_campaign, CampaignConfig};
+use soteria_faultsim::{
+    cluster_mtbf_hours, estimate_clone_udr, run_campaign, CampaignConfig, STANDARD_POLICIES,
+};
 
 fn main() {
     let iterations = env_u64("SOTERIA_ITERS", 100_000);
@@ -38,14 +40,7 @@ fn main() {
     for fit in [1.0f64, 5.0, 10.0, 20.0, 40.0, 60.0, 80.0] {
         let mut config = CampaignConfig::table4(fit);
         config.iterations = iterations;
-        let results = run_campaign(
-            &config,
-            &[
-                CloningPolicy::None,
-                CloningPolicy::Relaxed,
-                CloningPolicy::Aggressive,
-            ],
-        );
+        let results = run_campaign(&config, &STANDARD_POLICIES);
         let (base, src, sac) = (&results[0], &results[1], &results[2]);
         let mtbf = cluster_mtbf_hours(fit, 20_000, 4, 18);
         let gain = |udr: f64| {

@@ -12,7 +12,7 @@
 
 use soteria::clone::CloningPolicy;
 use soteria_bench::{env_u64, header};
-use soteria_faultsim::{estimate_clone_udr, run_campaign, CampaignConfig};
+use soteria_faultsim::{estimate_clone_udr, run_campaign, CampaignConfig, STANDARD_POLICIES};
 
 fn main() {
     let iterations = env_u64("SOTERIA_ITERS", 100_000);
@@ -24,14 +24,7 @@ fn main() {
     ));
     let mut config = CampaignConfig::table4(fit);
     config.iterations = iterations;
-    let results = run_campaign(
-        &config,
-        &[
-            CloningPolicy::None,
-            CloningPolicy::Relaxed,
-            CloningPolicy::Aggressive,
-        ],
-    );
+    let results = run_campaign(&config, &STANDARD_POLICIES);
     // Clone-scheme UDRs are dominated by rare >= 2-large-fault events that
     // naive sampling misses; resolve them with the importance-sampled
     // estimator (see fig11's rare-event panel).

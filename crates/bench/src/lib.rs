@@ -12,7 +12,7 @@
 //! * `SOTERIA_ITERS` — Monte Carlo iterations per FIT point for the
 //!   resilience figures (default 100 000).
 
-use soteria::clone::CloningPolicy;
+use soteria_faultsim::STANDARD_POLICIES;
 use soteria_simcpu::{RunResult, System, SystemConfig};
 use soteria_workloads::{standard_suite, SuiteConfig};
 
@@ -41,20 +41,12 @@ pub fn geomean(values: &[f64]) -> f64 {
     (log_sum / values.len() as f64).exp()
 }
 
-/// The three schemes of the evaluation, in figure order.
-pub fn schemes() -> Vec<CloningPolicy> {
-    vec![
-        CloningPolicy::None,
-        CloningPolicy::Relaxed,
-        CloningPolicy::Aggressive,
-    ]
-}
-
-/// Runs every workload of the suite under every scheme; rows come back
-/// grouped per workload in scheme order. Runs in parallel across
+/// Runs every workload of the suite under every scheme of
+/// [`STANDARD_POLICIES`]; rows come back grouped per workload in scheme
+/// order. Runs in parallel across
 /// (workload, scheme) pairs.
 pub fn run_performance_suite(ops: u64, footprint: u64, capacity: u64) -> Vec<Vec<RunResult>> {
-    let policies = schemes();
+    let policies = &STANDARD_POLICIES;
     let suite_config = SuiteConfig {
         footprint_bytes: footprint,
         seed: 0xda7a,
@@ -162,7 +154,7 @@ mod tests {
 
     #[test]
     fn schemes_are_three() {
-        let s = schemes();
+        let s = &STANDARD_POLICIES;
         assert_eq!(s.len(), 3);
         assert_eq!(s[0].name(), "Baseline");
         assert_eq!(s[1].name(), "SRC");

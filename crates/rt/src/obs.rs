@@ -647,7 +647,14 @@ impl Metrics {
     }
 
     /// The registry in Prometheus text exposition format, every metric
-    /// name prefixed with `prefix_`.
+    /// name prefixed with `prefix_` (see [`Metrics::write_prometheus`]).
+    pub fn to_prometheus(&self, prefix: &str) -> String {
+        let mut out = Exposition::new(prefix);
+        self.write_prometheus(&mut out);
+        out.finish()
+    }
+
+    /// Appends the registry to a Prometheus exposition.
     ///
     /// * Counters render as `counter` metrics.
     /// * Histograms and timer histograms render as `histogram` metrics:
@@ -658,7 +665,7 @@ impl Metrics {
     ///   (e.g. `http_latency_ns{endpoint="healthz"}`); the labels are
     ///   spliced into every emitted sample (`le` is appended for
     ///   buckets), and `# TYPE` headers are emitted once per base name.
-    pub fn to_prometheus(&self, prefix: &str) -> String {
+    pub fn write_prometheus(&self, out: &mut Exposition) {
         // Splits `latency{endpoint="x"}` into ("latency", `endpoint="x"`).
         fn split_labels(name: &str) -> (&str, Option<&str>) {
             match name.split_once('{') {
@@ -666,33 +673,14 @@ impl Metrics {
                 None => (name, None),
             }
         }
-        // `{existing,extra}` / `{existing}` / `{extra}` / `` as available.
-        fn braces(labels: Option<&str>, extra: Option<&str>) -> String {
-            match (labels, extra) {
-                (Some(l), Some(e)) => format!("{{{l},{e}}}"),
-                (Some(l), None) => format!("{{{l}}}"),
-                (None, Some(e)) => format!("{{{e}}}"),
-                (None, None) => String::new(),
-            }
-        }
-        let mut out = String::new();
-        let mut typed: Vec<String> = Vec::new();
-        let mut type_line = |out: &mut String, full: &str, kind: &str| {
-            if !typed.iter().any(|t| t == full) {
-                out.push_str(&format!("# TYPE {full} {kind}\n"));
-                typed.push(full.to_string());
-            }
-        };
         for &(name, v) in &self.counters {
             let (base, labels) = split_labels(name);
-            let full = format!("{prefix}_{base}");
-            type_line(&mut out, &full, "counter");
-            out.push_str(&format!("{full}{} {v}\n", braces(labels, None)));
+            out.family(base, "counter").sample(base, labels, v);
         }
         for (name, h) in self.histograms.iter().chain(self.timers.iter()) {
             let (base, labels) = split_labels(name);
-            let full = format!("{prefix}_{base}");
-            type_line(&mut out, &full, "histogram");
+            let bucket = format!("{base}_bucket");
+            out.family(base, "histogram");
             let mut cumulative = 0u64;
             for (i, &n) in h.buckets.iter().enumerate() {
                 if n == 0 {
@@ -703,24 +691,12 @@ impl Metrics {
                 // inclusive upper edge is `2^i − 1`.
                 let upper = if i == 0 { 0 } else { ((1u128 << i) - 1) as u64 };
                 let le = format!("le=\"{upper}\"");
-                out.push_str(&format!(
-                    "{full}_bucket{} {cumulative}\n",
-                    braces(labels, Some(&le))
-                ));
+                out.sample(&bucket, labels.into_iter().chain([le.as_str()]), cumulative);
             }
-            out.push_str(&format!(
-                "{full}_bucket{} {}\n",
-                braces(labels, Some("le=\"+Inf\"")),
-                h.count
-            ));
-            out.push_str(&format!("{full}_sum{} {}\n", braces(labels, None), h.sum));
-            out.push_str(&format!(
-                "{full}_count{} {}\n",
-                braces(labels, None),
-                h.count
-            ));
+            out.sample(&bucket, labels.into_iter().chain(["le=\"+Inf\""]), h.count)
+                .sample(&format!("{base}_sum"), labels, h.sum)
+                .sample(&format!("{base}_count"), labels, h.count);
         }
-        out
     }
 
     /// The registry as a JSON object: `counters` and `histograms` in
@@ -756,6 +732,75 @@ impl Metrics {
             ));
         }
         Json::Obj(entries)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Exposition: the Prometheus text format
+// ---------------------------------------------------------------------------
+
+/// A Prometheus text exposition (format 0.0.4) under construction — the
+/// one writer of that format in the workspace.
+///
+/// Every metric name is prefixed with `prefix_`; a family's `# TYPE`
+/// line is written the first time [`Exposition::family`] names it, so
+/// several label sets of one family share one header; a sample's label
+/// pairs are spliced into a single `{…}` set.
+#[derive(Debug)]
+pub struct Exposition {
+    prefix: String,
+    text: String,
+    typed: Vec<String>,
+}
+
+impl Exposition {
+    /// An empty exposition whose metric names all start with `prefix_`.
+    pub fn new(prefix: &str) -> Self {
+        Self {
+            prefix: prefix.to_string(),
+            text: String::new(),
+            typed: Vec::new(),
+        }
+    }
+
+    /// Declares family `name` of `kind` (`counter`, `gauge`,
+    /// `histogram`), writing its `# TYPE` line unless already declared.
+    pub fn family(&mut self, name: &str, kind: &str) -> &mut Self {
+        let full = format!("{}_{name}", self.prefix);
+        if !self.typed.contains(&full) {
+            self.text.push_str(&format!("# TYPE {full} {kind}\n"));
+            self.typed.push(full);
+        }
+        self
+    }
+
+    /// Writes one sample line, `prefix_name{labels} value`; `labels` are
+    /// `key="value"` pairs, and no braces are written when there are none.
+    pub fn sample<'a>(
+        &mut self,
+        name: &str,
+        labels: impl IntoIterator<Item = &'a str>,
+        value: impl std::fmt::Display,
+    ) -> &mut Self {
+        let labels: Vec<&str> = labels.into_iter().collect();
+        let labels = if labels.is_empty() {
+            String::new()
+        } else {
+            format!("{{{}}}", labels.join(","))
+        };
+        self.text
+            .push_str(&format!("{}_{name}{labels} {value}\n", self.prefix));
+        self
+    }
+
+    /// One unlabelled metric: its `# TYPE` line and its single sample.
+    pub fn scalar(&mut self, name: &str, kind: &str, value: u64) -> &mut Self {
+        self.family(name, kind).sample(name, None, value)
+    }
+
+    /// The exposition text.
+    pub fn finish(self) -> String {
+        self.text
     }
 }
 

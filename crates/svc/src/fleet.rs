@@ -23,23 +23,25 @@
 //!   Duplicate partials are bit-identical by construction, so the merge
 //!   keeps whichever copy landed first.
 //!
-//! The coordinator also serves a small control plane: worker
-//! registration, fleet status, and per-worker Prometheus gauges.
+//! The coordinator also serves a small control plane — worker
+//! registration, fleet status, and per-worker Prometheus gauges — on
+//! the same reactor as the job server (the private `nio` module).
 
 use std::collections::VecDeque;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use soteria_faultsim::{merge_partials, total_blocks, JobSpec};
 use soteria_rt::json::Json;
+use soteria_rt::obs::Exposition;
 
 use crate::client::{self, ClientConfig};
 use crate::error::SvcError;
-use crate::http::{self, ReadLimits};
+use crate::http::{method_not_allowed, ReadLimits, Request, Response};
+use crate::nio::{self, Handler};
 
 /// Tunables for a [`Coordinator`]. Defaults suit tests and localhost
 /// fleets; `soteria coordinate` exposes them as flags.
@@ -292,34 +294,25 @@ fn render_metrics(state: &FleetState) -> String {
         None => (0, 0, 0, 0),
     };
     let alive = state.workers.iter().filter(|w| w.alive).count();
-    let mut text = String::new();
-    for (name, kind, value) in [
-        ("workers", "gauge", state.workers.len() as u64),
-        ("workers_alive", "gauge", alive as u64),
-        ("blocks_total", "gauge", total),
-        ("blocks_in_flight", "gauge", in_flight),
-        ("merge_lag_blocks", "gauge", lag),
-        ("reassignments_total", "counter", reassigned),
-    ] {
-        text.push_str(&format!(
-            "# TYPE soteria_fleet_{name} {kind}\nsoteria_fleet_{name} {value}\n"
-        ));
+    let mut out = Exposition::new("soteria_fleet");
+    out.scalar("workers", "gauge", state.workers.len() as u64)
+        .scalar("workers_alive", "gauge", alive as u64)
+        .scalar("blocks_total", "gauge", total)
+        .scalar("blocks_in_flight", "gauge", in_flight)
+        .scalar("merge_lag_blocks", "gauge", lag)
+        .scalar("reassignments_total", "counter", reassigned);
+    let labels: Vec<String> = (0..state.workers.len())
+        .map(|id| format!("worker=\"{id}\""))
+        .collect();
+    out.family("worker_alive", "gauge");
+    for (label, w) in labels.iter().zip(&state.workers) {
+        out.sample("worker_alive", [label.as_str()], w.alive as u64);
     }
-    text.push_str("# TYPE soteria_fleet_worker_alive gauge\n");
-    for (id, w) in state.workers.iter().enumerate() {
-        text.push_str(&format!(
-            "soteria_fleet_worker_alive{{worker=\"{id}\"}} {}\n",
-            w.alive as u64
-        ));
+    out.family("worker_blocks_done", "counter");
+    for (label, w) in labels.iter().zip(&state.workers) {
+        out.sample("worker_blocks_done", [label.as_str()], w.blocks_done);
     }
-    text.push_str("# TYPE soteria_fleet_worker_blocks_done counter\n");
-    for (id, w) in state.workers.iter().enumerate() {
-        text.push_str(&format!(
-            "soteria_fleet_worker_blocks_done{{worker=\"{id}\"}} {}\n",
-            w.blocks_done
-        ));
-    }
-    text
+    out.finish()
 }
 
 /// The fleet coordinator: binds the control plane, waits for workers,
@@ -363,11 +356,11 @@ impl Coordinator {
         self.local_addr
     }
 
-    /// Runs the job to completion: serves the control plane, waits for
-    /// `min_workers` registrations, leases block chunks to workers
-    /// (reassigning on death, hedging on slowness), and merges the
-    /// partials into the final `(result_json, ndjson)` artifact pair —
-    /// byte-identical to a single-node run of the same `kind`/`config`.
+    /// Runs the job to completion: serves the control plane until the
+    /// job finishes, waits for `min_workers` registrations, leases block
+    /// chunks to workers (reassigning on death, hedging on slowness),
+    /// and merges the partials into the final `(result_json, ndjson)`
+    /// artifact pair — byte-identical to a single-node run of the same `kind`/`config`.
     ///
     /// # Errors
     ///
@@ -382,9 +375,17 @@ impl Coordinator {
             let mut st = shared.state.lock().unwrap();
             st.scheduler = Some(BlockScheduler::new(total));
         }
-        let stop = AtomicBool::new(false);
         let outcome: Result<Vec<Json>, String> = thread::scope(|s| {
-            s.spawn(|| control_loop(&self.listener, shared, &stop));
+            s.spawn(|| {
+                // The control plane has no tunables of its own; it stops
+                // once the job sets `finished`.
+                nio::event_loop(
+                    &self.listener,
+                    Duration::from_secs(5),
+                    &ReadLimits::default(),
+                    &self,
+                )
+            });
 
             // Wait for the starting quorum.
             let deadline = Instant::now() + config.register_timeout;
@@ -403,7 +404,6 @@ impl Coordinator {
                 }
                 if st.workers.is_empty() {
                     st.finished = true;
-                    stop.store(true, Ordering::Relaxed);
                     return Err(format!(
                         "no worker registered within {:?}",
                         config.register_timeout
@@ -447,10 +447,9 @@ impl Coordinator {
                     .unwrap();
                 drop(next);
             };
+            // Drivers and the control plane observe `finished` and exit;
+            // requests already accepted are still answered.
             shared.changed.notify_all();
-            // Drivers observe `finished` and exit; the control loop runs
-            // until `stop` so late scrapes during shutdown still answer.
-            stop.store(true, Ordering::Relaxed);
             result
         });
         let partials = outcome?;
@@ -613,121 +612,68 @@ fn run_range_on_worker(
     result.json().map_err(rpc_error)
 }
 
-/// The control-plane accept loop: registration, status, metrics.
-fn control_loop(listener: &TcpListener, shared: &FleetShared, stop: &AtomicBool) {
-    let limits = ReadLimits::default();
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-                let _ = handle_control(&mut stream, shared, &limits);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(25));
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => break,
-        }
+impl Handler for Coordinator {
+    fn route(&self, req: &Request) -> Result<Response, SvcError> {
+        route(&self.shared, req)
+    }
+
+    fn stopped(&self) -> bool {
+        self.shared.state.lock().unwrap().finished
     }
 }
 
-fn handle_control(
-    stream: &mut TcpStream,
-    shared: &FleetShared,
-    limits: &ReadLimits,
-) -> io::Result<()> {
-    let req = match http::read_request(stream, limits) {
-        Ok(req) => req,
-        Err(err) => return http::write_error(stream, &err),
-    };
+/// The control-plane routes: liveness, metrics, registration, status.
+fn route(shared: &FleetShared, req: &Request) -> Result<Response, SvcError> {
     match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => http::write_response(
-            stream,
-            200,
-            "OK",
-            "text/plain; charset=utf-8",
-            &[],
-            b"ok\n",
-        ),
+        ("GET", "/healthz") => Ok(Response::ok("text/plain; charset=utf-8", "ok\n")),
         ("GET", "/metrics") => {
-            let st = shared.state.lock().unwrap();
-            let text = render_metrics(&st);
-            drop(st);
-            http::write_response(
-                stream,
-                200,
-                "OK",
-                "text/plain; version=0.0.4",
-                &[],
-                text.as_bytes(),
-            )
+            let text = render_metrics(&shared.state.lock().unwrap());
+            Ok(Response::ok("text/plain; version=0.0.4", text))
         }
         ("POST", "/v1/fleet/register") => {
-            let outcome = register_from_request(&req.body, shared);
-            match outcome {
-                Ok(id) => {
-                    let body = Json::Obj(vec![("worker".into(), Json::Num(id as f64))])
-                        .to_pretty_string();
-                    http::write_response(
-                        stream,
-                        200,
-                        "OK",
-                        "application/json",
-                        &[],
-                        body.as_bytes(),
-                    )
-                }
-                Err(err) => http::write_error(stream, &err),
-            }
+            let id = register_from_request(&req.body, shared)?;
+            Ok(Response::json(
+                200,
+                "OK",
+                Json::Obj(vec![("worker".into(), Json::Num(id as f64))]),
+            ))
         }
-        ("GET", "/v1/fleet") => {
-            let st = shared.state.lock().unwrap();
-            let workers: Vec<Json> = st
-                .workers
-                .iter()
-                .enumerate()
-                .map(|(id, w)| {
-                    Json::Obj(vec![
-                        ("worker".into(), Json::Num(id as f64)),
-                        ("addr".into(), Json::Str(w.addr.clone())),
-                        ("alive".into(), Json::Bool(w.alive)),
-                        ("blocks_done".into(), Json::Num(w.blocks_done as f64)),
-                    ])
-                })
-                .collect();
-            let (done, total) = match &st.scheduler {
-                Some(s) => (s.done_blocks(), s.total()),
-                None => (0, 0),
-            };
-            let body = Json::Obj(vec![
-                ("workers".into(), Json::Arr(workers)),
-                ("blocks_done".into(), Json::Num(done as f64)),
-                ("blocks_total".into(), Json::Num(total as f64)),
-                ("finished".into(), Json::Bool(st.finished)),
-            ])
-            .to_pretty_string();
-            drop(st);
-            http::write_response(stream, 200, "OK", "application/json", &[], body.as_bytes())
-        }
-        (_, "/healthz" | "/metrics" | "/v1/fleet") => http::write_error(
-            stream,
-            &SvcError::MethodNotAllowed {
-                method: req.method.clone(),
-                allowed: "GET",
-            },
-        ),
-        (_, "/v1/fleet/register") => http::write_error(
-            stream,
-            &SvcError::MethodNotAllowed {
-                method: req.method.clone(),
-                allowed: "POST",
-            },
-        ),
-        (_, path) => {
-            http::write_error(stream, &SvcError::NotFound(format!("no route for '{path}'")))
-        }
+        ("GET", "/v1/fleet") => Ok(Response::json(
+            200,
+            "OK",
+            fleet_status(&shared.state.lock().unwrap()),
+        )),
+        (_, "/healthz" | "/metrics" | "/v1/fleet") => Err(method_not_allowed(req, "GET")),
+        (_, "/v1/fleet/register") => Err(method_not_allowed(req, "POST")),
+        (_, path) => Err(SvcError::NotFound(format!("no route for '{path}'"))),
     }
+}
+
+/// The `GET /v1/fleet` body: per-worker state and block progress.
+fn fleet_status(st: &FleetState) -> Json {
+    let workers: Vec<Json> = st
+        .workers
+        .iter()
+        .enumerate()
+        .map(|(id, w)| {
+            Json::Obj(vec![
+                ("worker".into(), Json::Num(id as f64)),
+                ("addr".into(), Json::Str(w.addr.clone())),
+                ("alive".into(), Json::Bool(w.alive)),
+                ("blocks_done".into(), Json::Num(w.blocks_done as f64)),
+            ])
+        })
+        .collect();
+    let (done, total) = match &st.scheduler {
+        Some(s) => (s.done_blocks(), s.total()),
+        None => (0, 0),
+    };
+    Json::Obj(vec![
+        ("workers".into(), Json::Arr(workers)),
+        ("blocks_done".into(), Json::Num(done as f64)),
+        ("blocks_total".into(), Json::Num(total as f64)),
+        ("finished".into(), Json::Bool(st.finished)),
+    ])
 }
 
 fn register_from_request(body: &[u8], shared: &FleetShared) -> Result<usize, SvcError> {
@@ -746,11 +692,16 @@ fn register_from_request(body: &[u8], shared: &FleetShared) -> Result<usize, Svc
     }
     let mut st = shared.state.lock().unwrap();
     // Re-registration of the same address revives the existing slot
-    // (a restarted worker keeps its id and its done-counter).
+    // (a restarted worker keeps its id and its done-counter). Only a
+    // dead worker gets a new driver: a retried POST from a live one must
+    // not start a second driver beside the running one.
     let id = match st.workers.iter().position(|w| w.addr == addr) {
         Some(id) => {
-            st.workers[id].alive = true;
-            st.workers[id].driver_spawned = false;
+            let worker = &mut st.workers[id];
+            if !worker.alive {
+                worker.alive = true;
+                worker.driver_spawned = false;
+            }
             id
         }
         None => {
@@ -936,6 +887,11 @@ mod tests {
         let again = register_from_request(br#"{"addr": "127.0.0.1:9001"}"#, &shared).unwrap();
         assert_eq!(again, 0);
         assert!(shared.state.lock().unwrap().workers[0].alive);
+        // A live worker's repeated registration keeps its running driver.
+        shared.state.lock().unwrap().workers[1].driver_spawned = true;
+        let repeat = register_from_request(br#"{"addr": "127.0.0.1:9002"}"#, &shared).unwrap();
+        assert_eq!(repeat, 1);
+        assert!(shared.state.lock().unwrap().workers[1].driver_spawned);
 
         let err = register_from_request(b"{}", &shared).unwrap_err();
         assert!(err.to_string().contains("'addr'"), "{err}");

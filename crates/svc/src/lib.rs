@@ -15,6 +15,10 @@
 //! a drain (`POST /v1/shutdown`) finishes every accepted job before the
 //! listener closes.
 //!
+//! The job server and the [`fleet`] coordinator's control plane are one
+//! HTTP plane: both run on the same non-blocking reactor, so a silent or
+//! slow client never stalls another request on either.
+//!
 //! The crate also ships the matching blocking [`client`] and a
 //! [`loadgen`] burst generator, both used by the CLI and the
 //! integration tests.

@@ -36,10 +36,11 @@ use std::time::Duration;
 
 use soteria_faultsim::{blocks_spec_from_json, run_spec, JobSpec};
 use soteria_rt::json::Json;
-use soteria_rt::obs::Metrics;
+use soteria_rt::obs::{Exposition, Metrics, Timer};
 
 use crate::error::SvcError;
-use crate::http::{ReadLimits, Request};
+use crate::http::{method_not_allowed, ReadLimits, Request, Response};
+use crate::nio::{self, Handler};
 
 /// Tunables for [`Server::bind`]. The defaults suit tests and small
 /// deployments; `soteria serve` exposes them as flags.
@@ -102,26 +103,26 @@ struct Job {
     error: Option<String>,
 }
 
-pub(crate) struct State {
+struct State {
     queue: VecDeque<usize>,
     jobs: Vec<Job>,
     in_flight: usize,
     draining: bool,
-    pub(crate) metrics: Metrics,
+    metrics: Metrics,
 }
 
-pub(crate) struct Shared {
-    pub(crate) state: Mutex<State>,
+struct Shared {
+    state: Mutex<State>,
     job_ready: Condvar,
 }
 
 impl Shared {
-    pub(crate) fn drained(&self) -> bool {
+    fn drained(&self) -> bool {
         let st = self.state.lock().unwrap();
         st.draining && st.queue.is_empty() && st.in_flight == 0
     }
 
-    pub(crate) fn begin_drain(&self) {
+    fn begin_drain(&self) {
         self.state.lock().unwrap().draining = true;
         self.job_ready.notify_all();
     }
@@ -224,10 +225,30 @@ impl Server {
             for _ in 0..config.workers.max(1) {
                 s.spawn(move || worker_loop(shared));
             }
-            crate::nio::event_loop(&self.listener, config, shared);
-            // Release any worker parked on the condvar.
-            shared.job_ready.notify_all();
+            nio::event_loop(&self.listener, config.read_timeout, &config.limits, &self);
+            // A reactor that could not run (or lost its listener) still
+            // lets the workers finish and exit.
+            shared.begin_drain();
         });
+    }
+}
+
+impl Handler for Server {
+    fn route(&self, req: &Request) -> Result<Response, SvcError> {
+        route(&self.shared, &self.config, req)
+    }
+
+    fn stopped(&self) -> bool {
+        self.shared.drained()
+    }
+
+    fn record(&self, path: &str, status: u16, timer: Timer) {
+        let mut st = self.shared.state.lock().unwrap();
+        st.metrics.inc("requests_total", 1);
+        if status == 429 {
+            st.metrics.inc("rejected{code=\"429\"}", 1);
+        }
+        st.metrics.observe_timer(latency_metric(path), timer);
     }
 }
 
@@ -298,7 +319,7 @@ fn job_route(path: &str) -> Option<(&'static str, &'static str)> {
 /// The endpoint label used in per-endpoint latency metric names. The
 /// `Metrics` registry keys on `&'static str`, so the Prometheus label
 /// pair is baked into the name and split back out at render time.
-pub(crate) fn latency_metric(path: &str) -> &'static str {
+fn latency_metric(path: &str) -> &'static str {
     if let Some((_, metric)) = job_route(path) {
         metric
     } else if path == "/healthz" {
@@ -314,39 +335,9 @@ pub(crate) fn latency_metric(path: &str) -> &'static str {
     }
 }
 
-pub(crate) struct Response {
-    pub(crate) status: u16,
-    pub(crate) reason: &'static str,
-    pub(crate) content_type: &'static str,
-    pub(crate) extra: Vec<(&'static str, String)>,
-    pub(crate) body: Vec<u8>,
-}
-
-impl Response {
-    fn json(status: u16, reason: &'static str, value: Json) -> Response {
-        Response {
-            status,
-            reason,
-            content_type: "application/json",
-            extra: Vec::new(),
-            body: value.to_pretty_string().into_bytes(),
-        }
-    }
-}
-
-pub(crate) fn route(
-    shared: &Shared,
-    config: &ServerConfig,
-    req: &Request,
-) -> Result<Response, SvcError> {
+fn route(shared: &Shared, config: &ServerConfig, req: &Request) -> Result<Response, SvcError> {
     match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => Ok(Response {
-            status: 200,
-            reason: "OK",
-            content_type: "text/plain; charset=utf-8",
-            extra: Vec::new(),
-            body: b"ok\n".to_vec(),
-        }),
+        ("GET", "/healthz") => Ok(Response::ok("text/plain; charset=utf-8", "ok\n")),
         (_, "/healthz") => Err(method_not_allowed(req, "GET")),
         ("GET", "/metrics") => Ok(metrics_response(shared)),
         (_, "/metrics") => Err(method_not_allowed(req, "GET")),
@@ -366,13 +357,6 @@ pub(crate) fn route(
         ("GET", path) if path.starts_with("/v1/jobs/") => job_endpoint(shared, path),
         (_, path) if path.starts_with("/v1/jobs/") => Err(method_not_allowed(req, "GET")),
         (_, path) => Err(SvcError::NotFound(format!("no route for '{path}'"))),
-    }
-}
-
-fn method_not_allowed(req: &Request, allowed: &'static str) -> SvcError {
-    SvcError::MethodNotAllowed {
-        method: req.method.clone(),
-        allowed,
     }
 }
 
@@ -466,21 +450,9 @@ fn job_endpoint(shared: &Shared, path: &str) -> Result<Response, SvcError> {
             // what `soteria campaign`/`soteria compare` write to disk.
             let (result_json, ndjson) = output;
             Ok(if artifact == "result" {
-                Response {
-                    status: 200,
-                    reason: "OK",
-                    content_type: "application/json",
-                    extra: Vec::new(),
-                    body: result_json.clone().into_bytes(),
-                }
+                Response::ok("application/json", result_json.as_bytes())
             } else {
-                Response {
-                    status: 200,
-                    reason: "OK",
-                    content_type: "application/x-ndjson",
-                    extra: Vec::new(),
-                    body: ndjson.clone().into_bytes(),
-                }
+                Response::ok("application/x-ndjson", ndjson.as_bytes())
             })
         }
         Some(other) => Err(SvcError::NotFound(format!(
@@ -491,22 +463,11 @@ fn job_endpoint(shared: &Shared, path: &str) -> Result<Response, SvcError> {
 
 fn metrics_response(shared: &Shared) -> Response {
     let st = shared.state.lock().unwrap();
-    let mut text = st.metrics.to_prometheus("soteria_svc");
-    for (name, value) in [
-        ("queue_depth", st.queue.len() as u64),
-        ("in_flight", st.in_flight as u64),
-        ("jobs_total", st.jobs.len() as u64),
-        ("draining", st.draining as u64),
-    ] {
-        text.push_str(&format!(
-            "# TYPE soteria_svc_{name} gauge\nsoteria_svc_{name} {value}\n"
-        ));
-    }
-    Response {
-        status: 200,
-        reason: "OK",
-        content_type: "text/plain; version=0.0.4",
-        extra: Vec::new(),
-        body: text.into_bytes(),
-    }
+    let mut out = Exposition::new("soteria_svc");
+    st.metrics.write_prometheus(&mut out);
+    out.scalar("queue_depth", "gauge", st.queue.len() as u64)
+        .scalar("in_flight", "gauge", st.in_flight as u64)
+        .scalar("jobs_total", "gauge", st.jobs.len() as u64)
+        .scalar("draining", "gauge", st.draining as u64);
+    Response::ok("text/plain; version=0.0.4", out.finish())
 }

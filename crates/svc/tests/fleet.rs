@@ -2,17 +2,21 @@
 //! worker servers must merge to **byte-identical** artifacts vs a
 //! single-node run at the same seed — for every job kind, for any
 //! worker count, and across worker failures (a registered-but-dead
-//! address and a live worker killed mid-campaign).
+//! address and a live worker killed mid-campaign). The coordinator's
+//! control plane answers every route over HTTP, and a silent client
+//! does not stall it.
 
-use std::net::{SocketAddr, TcpListener};
+use std::io::{Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use soteria_faultsim::{
-    compare_config_from_json, config_from_json, crashck_config_from_json, run_spec, JobSpec,
+    compare_config_from_json, config_from_json, crashck_config_from_json, run_spec, total_blocks,
+    JobSpec,
 };
 use soteria_rt::json::Json;
-use soteria_svc::{fleet, Coordinator, FleetConfig, Server, ServerConfig, ServerHandle};
+use soteria_svc::{client, fleet, Coordinator, FleetConfig, Server, ServerConfig, ServerHandle};
 
 /// Boots a worker server on an ephemeral port.
 fn boot_worker() -> (SocketAddr, ServerHandle, thread::JoinHandle<()>) {
@@ -141,4 +145,89 @@ fn fleet_survives_dead_and_killed_workers_with_identical_bytes() {
         handle.shutdown();
         join.join().unwrap();
     }
+}
+
+/// The control plane of a bound coordinator still waiting for its
+/// quorum: every route answers over HTTP with its pinned status, the
+/// metrics are exactly a 0-worker fleet's, and a client that connects
+/// and sends nothing delays no other request.
+#[test]
+fn control_plane_answers_every_route_while_a_client_is_silent() {
+    let body = Json::parse(r#"{"fit": 1500, "iterations": 128, "seed": 5}"#).unwrap();
+    let blocks = total_blocks(&JobSpec::from_kind("campaign", &body).unwrap());
+    let config = FleetConfig {
+        register_timeout: Duration::from_secs(60),
+        ..fast_fleet_config(1, 1)
+    };
+    let coordinator = Coordinator::bind("127.0.0.1:0", config).expect("bind control plane");
+    let control = coordinator.local_addr();
+    let run = {
+        let body = body.clone();
+        thread::spawn(move || coordinator.run("campaign", &body))
+    };
+
+    let silent = TcpStream::connect(control).expect("connect silent client");
+    let start = Instant::now();
+    assert_eq!(client::get(control, "/healthz").unwrap().status, 200);
+    let elapsed = start.elapsed();
+    assert!(elapsed < Duration::from_secs(1), "/healthz took {elapsed:?} behind a silent client");
+
+    let metrics = client::get(control, "/metrics").unwrap();
+    assert_eq!(metrics.status, 200);
+    assert_eq!(
+        metrics.text(),
+        format!(
+            "# TYPE soteria_fleet_workers gauge\n\
+             soteria_fleet_workers 0\n\
+             # TYPE soteria_fleet_workers_alive gauge\n\
+             soteria_fleet_workers_alive 0\n\
+             # TYPE soteria_fleet_blocks_total gauge\n\
+             soteria_fleet_blocks_total {blocks}\n\
+             # TYPE soteria_fleet_blocks_in_flight gauge\n\
+             soteria_fleet_blocks_in_flight 0\n\
+             # TYPE soteria_fleet_merge_lag_blocks gauge\n\
+             soteria_fleet_merge_lag_blocks {blocks}\n\
+             # TYPE soteria_fleet_reassignments_total counter\n\
+             soteria_fleet_reassignments_total 0\n\
+             # TYPE soteria_fleet_worker_alive gauge\n\
+             # TYPE soteria_fleet_worker_blocks_done counter\n"
+        )
+    );
+    let status = client::get(control, "/v1/fleet").unwrap();
+    assert_eq!(status.status, 200);
+    assert_eq!(status.json().unwrap().get("finished"), Some(&Json::Bool(false)));
+
+    for (method, path, body, expected) in [
+        ("PUT", "/healthz", None, 405),
+        ("GET", "/v1/fleet/register", None, 405),
+        ("GET", "/v1/nowhere", None, 404),
+        ("POST", "/v1/fleet/register", Some(("application/json", &b"{}"[..])), 400),
+    ] {
+        let resp = client::request(control, method, path, body).unwrap();
+        assert_eq!(resp.status, expected, "{method} {path}: {}", resp.text());
+    }
+    // An over-limit Content-Length is refused before any body is read;
+    // the client half-closes so the server's bounded drain ends at EOF.
+    let mut oversized = TcpStream::connect(control).unwrap();
+    oversized
+        .write_all(b"POST /v1/fleet/register HTTP/1.1\r\nContent-Length: 1048577\r\n\r\n")
+        .unwrap();
+    oversized.shutdown(Shutdown::Write).unwrap();
+    let mut raw = String::new();
+    oversized.read_to_string(&mut raw).unwrap();
+    assert!(raw.starts_with("HTTP/1.1 413 "), "{raw}");
+    drop(silent);
+
+    // A registered address that accepts nothing meets the quorum and
+    // dies on its first lease, which ends the run.
+    fleet::register_worker(
+        &control.to_string(),
+        &dead_addr().to_string(),
+        10,
+        Duration::from_millis(20),
+        &Default::default(),
+    )
+    .expect("register worker");
+    let err = run.join().expect("coordinator thread").unwrap_err();
+    assert!(err.contains("every worker died"), "{err}");
 }
