@@ -15,11 +15,11 @@
 //! SOTERIA_ITERS=200000 cargo run --release -p soteria-bench --bin ablation_ecc_tree
 //! ```
 
-use soteria::analysis::TreeKind;
 use soteria::clone::CloningPolicy;
 use soteria::config::TreeUpdate;
 use soteria::{DataAddr, SecureMemoryConfig, SecureMemoryController};
 use soteria_bench::{env_u64, header};
+use soteria_faultsim::campaign::TreeKind;
 use soteria_faultsim::{run_campaign, CampaignConfig};
 
 fn main() {

@@ -11,10 +11,11 @@
 //! * [`ResilienceModel::assess`] — takes the fault set of one Monte Carlo
 //!   iteration (from `soteria-faultsim`), determines where Chipkill is
 //!   defeated (two distinct faulty chips sharing a codeword), maps those
-//!   uncorrectable regions onto the memory layout, and reports
-//!   `L_error` (data lines directly lost) and `L_unverifiable` (data
-//!   covered by metadata whose **every copy** — original and all Soteria
-//!   clones — fell inside uncorrectable regions).
+//!   uncorrectable regions onto the memory layout, and reports, per
+//!   protection scheme, `L_error` (data lines directly lost) and
+//!   `L_unverifiable` (data covered by metadata whose **every copy** —
+//!   original and all Soteria clones — fell inside uncorrectable regions
+//!   and which the scheme's [`LossProfile`] cannot reconstruct).
 
 use soteria_nvm::fault::{FaultFootprint, FaultRecord};
 use soteria_nvm::geometry::DimmGeometry;
@@ -213,43 +214,27 @@ impl LossAssessment {
     }
 }
 
-/// Which integrity-tree structure the memory runs (§2.5): ToC nodes are
-/// unreconstructable, BMT intermediate nodes can be recomputed from their
-/// children.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum TreeKind {
-    /// SGX-style Tree of Counters (the paper's choice).
-    #[default]
-    Toc,
-    /// Bonsai-Merkle-Tree-style hash tree: losing an intermediate node is
-    /// repairable by rehashing the children, so only counter-block (leaf)
-    /// losses render data unverifiable.
-    Bmt,
-}
-
 /// Maps fault sets to data loss for a given layout.
 ///
-/// One model serves any number of cloning policies: [`Self::assess_many`]
+/// One model serves any number of protection schemes: [`Self::assess`]
 /// computes the uncorrectable regions and `L_error` once and evaluates
-/// all policies against the same fault set (the paired comparison the
-/// Monte Carlo campaign relies on).
+/// every scheme against the same fault set (the paired comparison the
+/// Monte Carlo jobs rely on).
 #[derive(Clone, Debug)]
 pub struct ResilienceModel<'a> {
     layout: &'a MemoryLayout,
     geometry: &'a DimmGeometry,
     correctable_chips: usize,
-    tree: TreeKind,
 }
 
 impl<'a> ResilienceModel<'a> {
-    /// Creates the model with Chipkill-Correct (1 correctable chip) and a
-    /// ToC tree — the paper's configuration.
+    /// Creates the model with Chipkill-Correct (1 correctable chip) — the
+    /// paper's configuration.
     pub fn new(layout: &'a MemoryLayout, geometry: &'a DimmGeometry) -> Self {
         Self {
             layout,
             geometry,
             correctable_chips: 1,
-            tree: TreeKind::Toc,
         }
     }
 
@@ -258,12 +243,6 @@ impl<'a> ResilienceModel<'a> {
     /// 2 = double-Chipkill) — the §3.1/§6.2 ECC-strength ablation.
     pub fn with_correctable_chips(mut self, chips: usize) -> Self {
         self.correctable_chips = chips;
-        self
-    }
-
-    /// Sets the integrity-tree structure (§2.5 ablation).
-    pub fn with_tree(mut self, tree: TreeKind) -> Self {
-        self.tree = tree;
         self
     }
 
@@ -497,22 +476,26 @@ impl<'a> ResilienceModel<'a> {
     /// column), so per-level lost fractions come out in closed form. The
     /// per-line coverage union across levels is combined as
     /// `1 - Π(1 - f_l)` (levels map a given data line to effectively
-    /// independent banks under the interleaved address map).
+    /// independent banks under the interleaved address map). Levels the
+    /// scheme rebuilds lose nothing, exactly as in the scan.
     fn assess_bankwide(
         &self,
         regions: &[UeRegion],
-        policies: &[&CloningPolicy],
+        schemes: &[SchemeLoss<'_>],
         error_lines: u64,
     ) -> Vec<LossAssessment> {
         let banks = self.geometry.banks() as u64;
         let cols = self.geometry.cols_per_row() as u64;
         let mask_union: u32 = regions.iter().fold(0, |m, r| m | r.bank_mask);
-        policies
+        schemes
             .iter()
-            .map(|policy| {
+            .map(|scheme| {
                 let mut keep = 1.0f64;
                 for level in 1..=self.layout.levels() {
-                    let extra = policy.extra_clones(level, self.layout.levels());
+                    if scheme.profile.rebuilds(level) {
+                        continue;
+                    }
+                    let extra = scheme.cloning.extra_clones(level, self.layout.levels());
                     let base = self.layout.meta_addr(MetaId::new(level, 0)).index();
                     let count = self.layout.level_count(level);
                     // Column-carry boundaries: clone skew 67·(c+1) spills
@@ -555,12 +538,6 @@ impl<'a> ResilienceModel<'a> {
             .collect()
     }
 
-    /// Assesses one fault set under one policy.
-    pub fn assess(&self, faults: &[FaultRecord], policy: &CloningPolicy) -> LossAssessment {
-        // One policy in, one assessment out; the fallback is unreachable.
-        self.assess_many(faults, &[policy]).pop().unwrap_or_default()
-    }
-
     /// `L_error`: lines of the data region inside any UE region. Regions
     /// from distinct fault pairs virtually never overlap; the per-region
     /// closed-form counts are summed and capped (a (rare) overlap makes
@@ -590,21 +567,29 @@ impl<'a> ResilienceModel<'a> {
         }
     }
 
-    /// Assesses one fault set under several policies at once; the UE
-    /// regions and `L_error` are computed a single time.
-    pub fn assess_many(
+    /// Assesses one fault set under several protection schemes at once:
+    /// the UE regions and `L_error` are computed a single time and every
+    /// scheme — a cloning policy plus the [`LossProfile`] of what its
+    /// recovery reconstructs — is judged against them.
+    ///
+    /// A fault set whose UE regions are all bank-wide takes a closed form
+    /// when every scheme's leaf recovery is [`LeafRecovery::Fatal`] (the
+    /// closed form cannot express per-leaf trial rescue); every other
+    /// fault set takes the exact per-block scan.
+    pub fn assess(
         &self,
         faults: &[FaultRecord],
-        policies: &[&CloningPolicy],
+        schemes: &[SchemeLoss<'_>],
     ) -> Vec<LossAssessment> {
         let regions = self.ue_regions(faults);
         if regions.is_empty() {
-            return vec![LossAssessment::default(); policies.len()];
+            return vec![LossAssessment::default(); schemes.len()];
         }
         let data_lines = self.layout.data_lines();
 
         // Whole-device UE (e.g. a rank-pair failure): everything is lost
-        // under every policy, clones included.
+        // under every scheme — clones need intact copies, trials intact
+        // data lines and rebuilds intact leaves.
         if regions.iter().any(|r| self.is_total(r)) {
             let top = self.layout.levels();
             let lost: Vec<MetaId> = (0..self.layout.level_count(top))
@@ -616,7 +601,7 @@ impl<'a> ResilienceModel<'a> {
                     unverifiable_data_lines: data_lines,
                     lost_meta_blocks: lost,
                 };
-                policies.len()
+                schemes.len()
             ];
         }
 
@@ -624,12 +609,17 @@ impl<'a> ResilienceModel<'a> {
 
         // Bank-scale-only fault sets take the closed-form path (the slow
         // scan below enumerates millions of metadata lines for them).
-        if regions.iter().all(Self::is_bankwide) {
-            return self.assess_bankwide(&regions, policies, error_lines);
+        if regions.iter().all(Self::is_bankwide)
+            && schemes
+                .iter()
+                .all(|s| s.profile.leaf == LeafRecovery::Fatal)
+        {
+            return self.assess_bankwide(&regions, schemes, error_lines);
         }
 
-        // Metadata loss per policy: a block is lost only if its primary
-        // AND all its clones fall inside UE regions.
+        // Metadata loss per scheme: a block is lost only if its primary
+        // AND all its clones fall inside UE regions, and the scheme's
+        // recovery cannot reconstruct it.
         let meta_start = self.layout.meta_addr(MetaId::new(1, 0)).index();
         let top = self.layout.levels();
         let meta_end = self
@@ -639,26 +629,39 @@ impl<'a> ResilienceModel<'a> {
             + 1;
         // Collected as plain vectors (a meta can repeat only when regions
         // overlap, which is rare); sort + dedup below canonicalizes.
-        let mut lost: Vec<Vec<MetaId>> = vec![Vec::new(); policies.len()];
+        let mut lost: Vec<Vec<MetaId>> = vec![Vec::new(); schemes.len()];
         for r in &regions {
             self.for_each_line_in(r, meta_start, meta_end, &mut |line| {
                 let Region::Meta(meta) = self.layout.classify(LineAddr::new(line)) else {
                     return;
                 };
-                // BMT intermediate nodes are recomputable from children
-                // (§2.5): their loss costs a rebuild, not data.
-                if self.tree == TreeKind::Bmt && meta.level >= 2 {
-                    return;
-                }
-                for (p, policy) in policies.iter().enumerate() {
-                    let extra = policy.extra_clones(meta.level, self.layout.levels());
+                for (s, scheme) in schemes.iter().enumerate() {
+                    if scheme.profile.rebuilds(meta.level) {
+                        continue;
+                    }
+                    let extra = scheme
+                        .cloning
+                        .extra_clones(meta.level, self.layout.levels());
                     let all_clones_dead = (1..=extra).all(|c| {
                         let ca = self.layout.clone_addr(meta, c).index();
                         self.any_region_contains(&regions, ca)
                     });
-                    if all_clones_dead {
-                        lost[p].push(meta);
+                    if !all_clones_dead {
+                        continue;
                     }
+                    // A destroyed leaf counter block is re-derivable by
+                    // bounded forward MAC trials only when every covered
+                    // data line (and its MAC) survived to trial against.
+                    if meta.level == 1 && scheme.profile.leaf == LeafRecovery::Trials {
+                        let (start, count) = self.layout.covered_data_range(meta);
+                        let (s0, e0) = (start.index(), start.index() + count);
+                        let covered_hit =
+                            regions.iter().any(|r| self.count_lines_in(r, s0, e0) > 0);
+                        if !covered_hit {
+                            continue;
+                        }
+                    }
+                    lost[s].push(meta);
                 }
             });
         }
@@ -695,124 +698,17 @@ impl<'a> ResilienceModel<'a> {
             .collect()
     }
 
-    /// Assesses one fault set under several full protection schemes at
-    /// once (the cross-scheme compare matrix): like [`Self::assess_many`]
-    /// but each scheme pairs its cloning policy with a [`LossProfile`]
-    /// describing what its recovery path can reconstruct. The profile
-    /// subsumes [`TreeKind`] (a BMT-style profile sets `rebuild_floor`
-    /// to 2), so the model's own tree setting is ignored here.
-    ///
-    /// This always takes the exact per-block scan — the bankwide
-    /// closed-form shortcut of `assess_many` cannot express per-leaf
-    /// trial rescue — so it is meant for the compare campaign's small
-    /// capacities, not multi-terabyte sweeps.
-    pub fn assess_schemes(
-        &self,
-        faults: &[FaultRecord],
-        schemes: &[SchemeLoss<'_>],
-    ) -> Vec<LossAssessment> {
-        let regions = self.ue_regions(faults);
-        if regions.is_empty() {
-            return vec![LossAssessment::default(); schemes.len()];
-        }
-        let data_lines = self.layout.data_lines();
-
-        // Whole-device UE: everything is lost under every scheme —
-        // trials need intact data lines and rebuilds need intact leaves.
-        if regions.iter().any(|r| self.is_total(r)) {
-            let top = self.layout.levels();
-            let lost: Vec<MetaId> = (0..self.layout.level_count(top))
-                .map(|i| MetaId::new(top, i))
-                .collect();
-            return vec![
-                LossAssessment {
-                    error_data_lines: data_lines,
-                    unverifiable_data_lines: data_lines,
-                    lost_meta_blocks: lost,
-                };
-                schemes.len()
-            ];
-        }
-
-        let error_lines = self.error_lines_in(&regions, data_lines);
-
-        let meta_start = self.layout.meta_addr(MetaId::new(1, 0)).index();
-        let top = self.layout.levels();
-        let meta_end = self
-            .layout
-            .meta_addr(MetaId::new(top, self.layout.level_count(top) - 1))
-            .index()
-            + 1;
-        let mut lost: Vec<Vec<MetaId>> = vec![Vec::new(); schemes.len()];
-        for r in &regions {
-            self.for_each_line_in(r, meta_start, meta_end, &mut |line| {
-                let Region::Meta(meta) = self.layout.classify(LineAddr::new(line)) else {
-                    return;
-                };
-                for (s, scheme) in schemes.iter().enumerate() {
-                    // Intermediate nodes at or above the rebuild floor are
-                    // recomputable from their children at recovery (BMT
-                    // rehash / Phoenix counter refold): a rebuild, not
-                    // data loss.
-                    if meta.level >= 2 && meta.level >= scheme.profile.rebuild_floor {
-                        continue;
-                    }
-                    let extra = scheme
-                        .cloning
-                        .extra_clones(meta.level, self.layout.levels());
-                    let all_clones_dead = (1..=extra).all(|c| {
-                        let ca = self.layout.clone_addr(meta, c).index();
-                        self.any_region_contains(&regions, ca)
-                    });
-                    if !all_clones_dead {
-                        continue;
-                    }
-                    // A destroyed leaf counter block is re-derivable by
-                    // bounded forward MAC trials only when every covered
-                    // data line (and its MAC) survived to trial against.
-                    if meta.level == 1 && scheme.profile.leaf == LeafRecovery::Trials {
-                        let (start, count) = self.layout.covered_data_range(meta);
-                        let (s0, e0) = (start.index(), start.index() + count);
-                        let covered_hit = regions
-                            .iter()
-                            .any(|r| self.count_lines_in(r, s0, e0) > 0);
-                        if !covered_hit {
-                            continue;
-                        }
-                    }
-                    lost[s].push(meta);
-                }
-            });
-        }
-
-        lost.into_iter()
-            .map(|mut set| {
-                set.sort_unstable();
-                set.dedup();
-                let mut ranges: Vec<(u64, u64)> = set
-                    .iter()
-                    .map(|&m| {
-                        let (start, count) = self.layout.covered_data_range(m);
-                        (start.index(), start.index() + count)
-                    })
-                    .collect();
-                ranges.sort_unstable();
-                let mut unverifiable = 0u64;
-                let mut cursor = 0u64;
-                for (s, e) in ranges {
-                    let s = s.max(cursor);
-                    if e > s {
-                        unverifiable += e - s;
-                        cursor = e;
-                    }
-                }
-                LossAssessment {
-                    error_data_lines: error_lines,
-                    unverifiable_data_lines: unverifiable,
-                    lost_meta_blocks: set,
-                }
-            })
-            .collect()
+    /// Assesses one fault set under one cloning policy and the default
+    /// (ToC) loss profile.
+    pub fn assess_policy(&self, faults: &[FaultRecord], policy: &CloningPolicy) -> LossAssessment {
+        self.assess(
+            faults,
+            &[SchemeLoss {
+                cloning: policy,
+                profile: LossProfile::default(),
+            }],
+        )
+        .remove(0)
     }
 }
 
@@ -849,7 +745,16 @@ impl Default for LossProfile {
     }
 }
 
-/// One scheme's inputs to [`ResilienceModel::assess_schemes`].
+impl LossProfile {
+    /// Whether a lost tree node at `level` is recomputed from its
+    /// children at recovery (BMT rehash / Phoenix counter refold): a
+    /// rebuild, not data loss. Leaves (level 1) never are.
+    pub fn rebuilds(&self, level: u8) -> bool {
+        level >= 2 && level >= self.rebuild_floor
+    }
+}
+
+/// One scheme's inputs to [`ResilienceModel::assess`].
 #[derive(Clone, Copy, Debug)]
 pub struct SchemeLoss<'a> {
     /// The metadata cloning policy (Baseline / SRC / SAC).
@@ -899,7 +804,7 @@ mod tests {
         let (layout, geometry) = setup();
         let policy = CloningPolicy::None;
         let model = ResilienceModel::new(&layout, &geometry);
-        assert_eq!(model.assess(&[], &policy), LossAssessment::default());
+        assert_eq!(model.assess_policy(&[], &policy), LossAssessment::default());
     }
 
     #[test]
@@ -913,7 +818,7 @@ mod tests {
             FaultFootprint::WholeChip,
             FaultKind::Permanent,
         );
-        let a = model.assess(&[f], &policy);
+        let a = model.assess_policy(&[f], &policy);
         assert_eq!(a.error_data_lines, 0);
         assert_eq!(a.unverifiable_data_lines, 0);
     }
@@ -936,7 +841,7 @@ mod tests {
             FaultFootprint::SingleRow { bank: 0, row: 0 },
             FaultKind::Permanent,
         );
-        let a = model.assess(&[f1, f2], &policy);
+        let a = model.assess_policy(&[f1, f2], &policy);
         // Row 0 of bank 0 = the first 1024 lines, all data.
         assert_eq!(a.error_data_lines, 1024);
     }
@@ -958,7 +863,7 @@ mod tests {
             FaultFootprint::SingleBank { bank: 0 },
             FaultKind::Permanent,
         );
-        let a = model.assess(&[f1, f2], &policy);
+        let a = model.assess_policy(&[f1, f2], &policy);
         assert_eq!(a.error_data_lines, 0);
     }
 
@@ -982,13 +887,13 @@ mod tests {
         };
         assert_eq!(
             model
-                .assess(&[mk(1, 0), mk(2, 1)], &policy)
+                .assess_policy(&[mk(1, 0), mk(2, 1)], &policy)
                 .error_data_lines,
             0
         );
         assert_eq!(
             model
-                .assess(&[mk(1, 0), mk(2, 0)], &policy)
+                .assess_policy(&[mk(1, 0), mk(2, 0)], &policy)
                 .error_data_lines,
             1
         );
@@ -1016,7 +921,7 @@ mod tests {
                 FaultKind::Permanent,
             )
         };
-        let a = model.assess(&[mk(0), mk(9)], &policy);
+        let a = model.assess_policy(&[mk(0), mk(9)], &policy);
         assert_eq!(a.lost_meta_blocks, vec![meta]);
         assert_eq!(a.unverifiable_data_lines, layout.covered_data_lines(meta));
     }
@@ -1041,7 +946,7 @@ mod tests {
                 FaultKind::Permanent,
             )
         };
-        let a = model.assess(&[mk(0), mk(9)], &policy);
+        let a = model.assess_policy(&[mk(0), mk(9)], &policy);
         assert!(a.lost_meta_blocks.is_empty(), "SRC clone must survive");
         assert_eq!(a.unverifiable_data_lines, 0);
     }
@@ -1057,7 +962,7 @@ mod tests {
             FaultFootprint::WholeChip,
             FaultKind::Permanent,
         );
-        let a = model.assess(&[f], &policy);
+        let a = model.assess_policy(&[f], &policy);
         assert_eq!(a.error_data_lines, layout.data_lines());
         assert_eq!(a.unverifiable_data_lines, layout.data_lines());
     }
@@ -1073,7 +978,7 @@ mod tests {
             FaultFootprint::SingleRow { bank: 0, row: 0 },
             FaultKind::Permanent,
         );
-        let a = model.assess(&[f], &policy);
+        let a = model.assess_policy(&[f], &policy);
         assert_eq!(
             a.error_data_lines, 1024,
             "one faulty chip already defeats SEC-DED"
@@ -1093,60 +998,150 @@ mod tests {
                 FaultKind::Permanent,
             )
         };
-        assert_eq!(model.assess(&[mk(1), mk(7)], &policy).error_data_lines, 0);
+        assert_eq!(
+            model
+                .assess_policy(&[mk(1), mk(7)], &policy)
+                .error_data_lines,
+            0
+        );
         // But three distinct chips defeat it.
-        let a = model.assess(&[mk(1), mk(7), mk(12)], &policy);
+        let a = model.assess_policy(&[mk(1), mk(7), mk(12)], &policy);
         assert_eq!(a.error_data_lines, 1024);
+    }
+
+    /// A BMT-style profile: every tree node above the counter blocks is
+    /// rebuilt from its children.
+    const BMT: LossProfile = LossProfile {
+        rebuild_floor: 2,
+        leaf: LeafRecovery::Fatal,
+    };
+
+    /// An Osiris-style profile: lost leaves are re-derived by MAC trials.
+    const TRIALS: LossProfile = LossProfile {
+        rebuild_floor: u8::MAX,
+        leaf: LeafRecovery::Trials,
+    };
+
+    /// A two-chip word fault on the primary line of `meta`.
+    fn word_pair_on(
+        layout: &MemoryLayout,
+        geometry: &DimmGeometry,
+        meta: MetaId,
+    ) -> Vec<FaultRecord> {
+        let loc = geometry.locate(layout.meta_addr(meta));
+        [0, 9]
+            .map(|chip| {
+                FaultRecord::on_chip(
+                    geometry,
+                    chip,
+                    FaultFootprint::SingleWord {
+                        bank: loc.bank,
+                        row: loc.row,
+                        col: loc.col,
+                        beat: 0,
+                    },
+                    FaultKind::Permanent,
+                )
+            })
+            .to_vec()
+    }
+
+    /// Two chips faulty across one whole bank: a bank-wide UE region.
+    fn bank_pair(geometry: &DimmGeometry, bank: u32) -> Vec<FaultRecord> {
+        [1, 7]
+            .map(|chip| {
+                FaultRecord::on_chip(
+                    geometry,
+                    chip,
+                    FaultFootprint::SingleBank { bank },
+                    FaultKind::Permanent,
+                )
+            })
+            .to_vec()
     }
 
     #[test]
     fn bmt_ignores_intermediate_node_loss() {
         let (layout, geometry) = setup();
         let policy = CloningPolicy::None;
-        let toc = ResilienceModel::new(&layout, &geometry);
-        let bmt = ResilienceModel::new(&layout, &geometry).with_tree(TreeKind::Bmt);
-        let meta = MetaId::new(layout.levels(), 0); // an upper node
-        let loc = geometry.locate(layout.meta_addr(meta));
-        let mk = |chip| {
-            FaultRecord::on_chip(
-                &geometry,
-                chip,
-                FaultFootprint::SingleWord {
-                    bank: loc.bank,
-                    row: loc.row,
-                    col: loc.col,
-                    beat: 0,
-                },
-                FaultKind::Permanent,
-            )
+        let model = ResilienceModel::new(&layout, &geometry);
+        let faults = word_pair_on(&layout, &geometry, MetaId::new(layout.levels(), 0));
+        let bmt = SchemeLoss {
+            cloning: &policy,
+            profile: BMT,
         };
-        let faults = [mk(0), mk(9)];
-        assert!(toc.assess(&faults, &policy).unverifiable_data_lines > 0);
-        assert_eq!(bmt.assess(&faults, &policy).unverifiable_data_lines, 0);
+        assert!(
+            model
+                .assess_policy(&faults, &policy)
+                .unverifiable_data_lines
+                > 0
+        );
+        assert_eq!(model.assess(&faults, &[bmt])[0].unverifiable_data_lines, 0);
     }
 
     #[test]
     fn bmt_still_loses_counter_blocks() {
         let (layout, geometry) = setup();
         let policy = CloningPolicy::None;
-        let bmt = ResilienceModel::new(&layout, &geometry).with_tree(TreeKind::Bmt);
+        let model = ResilienceModel::new(&layout, &geometry);
         let leaf = MetaId::new(1, 0);
-        let loc = geometry.locate(layout.meta_addr(leaf));
-        let mk = |chip| {
-            FaultRecord::on_chip(
-                &geometry,
-                chip,
-                FaultFootprint::SingleWord {
-                    bank: loc.bank,
-                    row: loc.row,
-                    col: loc.col,
-                    beat: 0,
-                },
-                FaultKind::Permanent,
-            )
+        let bmt = SchemeLoss {
+            cloning: &policy,
+            profile: BMT,
         };
-        let a = bmt.assess(&[mk(0), mk(9)], &policy);
+        let a = &model.assess(&word_pair_on(&layout, &geometry, leaf), &[bmt])[0];
         assert_eq!(a.unverifiable_data_lines, layout.covered_data_lines(leaf));
+    }
+
+    #[test]
+    fn bankwide_closed_form_matches_the_scan_under_a_rebuild_floor() {
+        // With every tree node rebuilt only the counter blocks count, so
+        // the closed form's per-level union is exact. A Trials scheme in
+        // the roster forces the exact scan for the same BMT scheme.
+        let (layout, geometry) = setup();
+        let policy = CloningPolicy::None;
+        let model = ResilienceModel::new(&layout, &geometry);
+        let bmt = SchemeLoss {
+            cloning: &policy,
+            profile: BMT,
+        };
+        let trials = SchemeLoss {
+            cloning: &policy,
+            profile: TRIALS,
+        };
+        for bank in [0, 5, 15] {
+            let faults = bank_pair(&geometry, bank);
+            let closed = &model.assess(&faults, &[bmt])[0];
+            let scanned = &model.assess(&faults, &[bmt, trials])[0];
+            assert!(scanned.unverifiable_data_lines > 0, "bank {bank}");
+            assert_eq!(
+                closed.unverifiable_data_lines, scanned.unverifiable_data_lines,
+                "bank {bank}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_trials_scheme_keeps_the_roster_off_the_closed_form() {
+        // The closed form names no lost blocks; the scan names every one.
+        let (layout, geometry) = setup();
+        let policy = CloningPolicy::None;
+        let model = ResilienceModel::new(&layout, &geometry);
+        let toc = SchemeLoss {
+            cloning: &policy,
+            profile: LossProfile::default(),
+        };
+        let trials = SchemeLoss {
+            cloning: &policy,
+            profile: TRIALS,
+        };
+        let faults = bank_pair(&geometry, 3);
+        let fatal_only = &model.assess(&faults, &[toc])[0];
+        assert!(fatal_only.unverifiable_data_lines > 0);
+        assert!(fatal_only.lost_meta_blocks.is_empty(), "closed form");
+        for a in model.assess(&faults, &[toc, trials]) {
+            assert!(!a.lost_meta_blocks.is_empty(), "exact scan");
+        }
     }
 
     #[test]
@@ -1175,7 +1170,7 @@ mod tests {
                 ));
             }
         }
-        let a = model.assess(&faults, &policy);
+        let a = model.assess_policy(&faults, &policy);
         assert_eq!(a.lost_meta_blocks.len(), 2);
         assert_eq!(a.unverifiable_data_lines, layout.covered_data_lines(top));
     }

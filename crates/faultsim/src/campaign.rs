@@ -2,10 +2,12 @@
 //!
 //! Each iteration draws a five-year fault history for one DIMM (Poisson
 //! arrivals per chip per fault-mode bucket), then asks the layout-aware
-//! [`ResilienceModel`] how much data each cloning policy loses. All
-//! policies are evaluated on the **same** fault sets (paired comparison,
+//! [`ResilienceModel`] how much data each protection scheme loses. All
+//! schemes are evaluated on the **same** fault sets (paired comparison,
 //! as FaultSim does), which slashes the variance of the UDR ratios the
-//! paper reports.
+//! paper reports. This iteration is the one Monte Carlo loop: a campaign
+//! runs it over its cloning policies under the [`TreeKind`]'s loss
+//! profile, `compare` over the registry's schemes.
 //!
 //! Iterations run in parallel on scoped threads, and campaigns are
 //! **thread-count invariant**: iteration `i` always draws from the RNG
@@ -20,7 +22,7 @@ use soteria_rt::obs_fields;
 use soteria_rt::rng::{stream_seed, StdRng};
 use soteria_rt::thread::default_threads;
 
-use soteria::analysis::{ResilienceModel, TreeKind};
+use soteria::analysis::{LossProfile, ResilienceModel, SchemeLoss};
 use soteria::clone::CloningPolicy;
 use soteria::layout::MemoryLayout;
 use soteria_nvm::fault::{FaultFootprint, FaultKind, FaultRecord};
@@ -32,6 +34,33 @@ use crate::shard::{
     arr_unwire, event_unwire, event_wire, f64_unwire, f64_wire, u64_unwire, u64_wire,
 };
 use crate::FIVE_YEARS_HOURS;
+
+/// Which integrity-tree structure the campaign's memory runs (§2.5) —
+/// judged through the [`LossProfile`] it maps to.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum TreeKind {
+    /// SGX-style Tree of Counters (the paper's choice): no node can be
+    /// reconstructed.
+    #[default]
+    Toc,
+    /// Bonsai-Merkle-Tree-style hash tree: losing an intermediate node is
+    /// repairable by rehashing the children, so only counter-block (leaf)
+    /// losses render data unverifiable.
+    Bmt,
+}
+
+impl TreeKind {
+    /// What recovery reconstructs under this tree.
+    pub fn loss_profile(self) -> LossProfile {
+        match self {
+            TreeKind::Toc => LossProfile::default(),
+            TreeKind::Bmt => LossProfile {
+                rebuild_floor: 2,
+                ..LossProfile::default()
+            },
+        }
+    }
+}
 
 /// Configuration of one campaign (Table 4 defaults).
 #[derive(Clone, Debug)]
@@ -102,6 +131,16 @@ impl CampaignConfig {
     /// clone addresses are identical across policies).
     pub fn build_layout(&self) -> MemoryLayout {
         MemoryLayout::new(self.capacity_bytes / 64, 8192, 4)
+    }
+
+    /// The campaign's roster: each policy judged under the tree's loss
+    /// profile.
+    pub(crate) fn schemes<'p>(&self, policies: &'p [CloningPolicy]) -> Vec<SchemeLoss<'p>> {
+        let profile = self.tree.loss_profile();
+        policies
+            .iter()
+            .map(|cloning| SchemeLoss { cloning, profile })
+            .collect()
     }
 }
 
@@ -477,13 +516,8 @@ impl<E> IterBlock<E> {
 /// same-seed campaigns bit-identical across thread counts.
 pub const ITERATION_BLOCK: u64 = 64;
 
-/// Per-worker scratch buffers reused across Monte Carlo iterations.
-///
-/// The campaign hot loop used to allocate a fresh fault history, a
-/// `Vec<Vec<FaultRecord>>` of co-active sets, a chip-dedup vector, and a
-/// per-policy worst-UDR vector on every iteration. Keeping those buffers
-/// alive per worker removes the steady-state allocation churn without
-/// changing the order of any floating-point accumulation.
+/// Per-worker scratch buffers whose capacity every Monte Carlo iteration
+/// reuses instead of allocating its own.
 struct IterScratch {
     history: Vec<TimedFault>,
     live: Vec<FaultRecord>,
@@ -491,26 +525,16 @@ struct IterScratch {
     worst_udr: Vec<f64>,
 }
 
-impl IterScratch {
-    fn new(policies: usize) -> Self {
-        Self {
-            history: Vec::new(),
-            live: Vec::new(),
-            chips: Vec::new(),
-            worst_udr: vec![0.0; policies],
-        }
-    }
-}
-
-/// Everything an iteration reads but never writes — shared by all of a
-/// worker's iterations.
-struct WorkerCtx<'a> {
-    config: &'a CampaignConfig,
-    layout: &'a MemoryLayout,
-    geometry: &'a DimmGeometry,
-    rates: &'a FitRates,
-    model: ResilienceModel<'a>,
-    policy_refs: Vec<&'a CloningPolicy>,
+/// What one Monte Carlo iteration with faults hands its job's event sink.
+pub(crate) struct Iteration<'s> {
+    /// Iteration index (its RNG stream is `stream_seed(seed, iter)`).
+    pub(crate) iter: u64,
+    /// Faults in the iteration's history.
+    pub(crate) faults: usize,
+    /// Whether the ECC was defeated somewhere.
+    pub(crate) any_ue: bool,
+    /// Worst UDR over the co-active fault sets, one per scheme.
+    pub(crate) udr: &'s [f64],
 }
 
 /// Short label for a cloning policy in trace events.
@@ -523,26 +547,17 @@ fn policy_label(policy: &CloningPolicy) -> &'static str {
     }
 }
 
-fn simulate_iteration(
-    rng: &mut StdRng,
-    ctx: &WorkerCtx<'_>,
+/// Judges the iteration's fault history (already in `scratch.history`,
+/// non-empty) under every scheme and adds it to `acc`; returns whether
+/// the ECC was defeated somewhere.
+fn assess_iteration(
+    config: &CampaignConfig,
+    model: &ResilienceModel<'_>,
+    data_lines: u64,
+    schemes: &[SchemeLoss<'_>],
     scratch: &mut IterScratch,
     acc: &mut Accumulator,
-    iter: u64,
-    events: Option<&mut Vec<TraceEvent>>,
-) {
-    let WorkerCtx {
-        config,
-        layout,
-        geometry,
-        rates,
-        model,
-        policy_refs,
-    } = ctx;
-    sample_fault_history_into(rng, geometry, rates, config.hours, &mut scratch.history);
-    if scratch.history.is_empty() {
-        return;
-    }
+) -> bool {
     acc.iterations_with_faults += 1;
     let mut worst_error = 0.0f64;
     scratch.worst_udr.fill(0.0);
@@ -550,32 +565,24 @@ fn simulate_iteration(
     // Without scrubbing every fault stays live to the end; with
     // scrubbing, evaluate the co-active set at each arrival instant and
     // keep the worst outcome (UE corruption is latched into the cells
-    // until repaired, so the worst co-active set bounds the loss). Each
-    // co-active set streams through the reused `live` buffer in the same
-    // order the old materialized Vec<Vec<_>> produced, so every max/sum
-    // below sees identical operands in identical order and results stay
-    // bit-identical across thread counts.
+    // until repaired, so the worst co-active set bounds the loss).
     let set_count = match config.scrub_interval_hours {
         None => 1,
         Some(_) => scratch.history.len(),
     };
     for set_idx in 0..set_count {
+        let event_time = scratch.history[set_idx].start_hours;
         scratch.live.clear();
-        match config.scrub_interval_hours {
-            None => scratch
-                .live
-                .extend(scratch.history.iter().map(|t| t.record.clone())),
-            Some(_) => {
-                let event_time = scratch.history[set_idx].start_hours;
-                scratch.live.extend(
-                    scratch
-                        .history
-                        .iter()
-                        .filter(|t| t.live_at(event_time, config.scrub_interval_hours))
-                        .map(|t| t.record.clone()),
-                );
-            }
-        }
+        scratch.live.extend(
+            scratch
+                .history
+                .iter()
+                .filter(|t| {
+                    config.scrub_interval_hours.is_none()
+                        || t.live_at(event_time, config.scrub_interval_hours)
+                })
+                .map(|t| t.record.clone()),
+        );
         // Cheap pre-check: defeating an ECC that corrects k chips needs
         // more than k distinct faulty chips.
         scratch.chips.clear();
@@ -589,15 +596,14 @@ fn simulate_iteration(
         if scratch.chips.len() <= config.correctable_chips {
             continue;
         }
-        let assessments = model.assess_many(&scratch.live, policy_refs);
-        for (i, a) in assessments.iter().enumerate() {
+        for (i, a) in model.assess(&scratch.live, schemes).iter().enumerate() {
             if a.error_data_lines > 0 || a.unverifiable_data_lines > 0 {
                 any_ue = true;
             }
             if i == 0 {
-                worst_error = worst_error.max(a.error_ratio(layout.data_lines()));
+                worst_error = worst_error.max(a.error_ratio(data_lines));
             }
-            scratch.worst_udr[i] = scratch.worst_udr[i].max(a.udr(layout.data_lines()));
+            scratch.worst_udr[i] = scratch.worst_udr[i].max(a.udr(data_lines));
         }
     }
     acc.error_ratio_sum += worst_error;
@@ -610,33 +616,64 @@ fn simulate_iteration(
     if any_ue {
         acc.iterations_with_ue += 1;
     }
-    if let Some(events) = events {
-        // Seed provenance: the exact RNG stream this iteration drew from,
-        // so any single iteration can be replayed in isolation.
-        events.push(TraceEvent::new(
-            "campaign",
-            "iteration",
-            obs_fields![
-                ("iter", iter),
-                ("seed", Field::Hex(stream_seed(config.seed, iter))),
-                ("faults", scratch.history.len()),
-                ("ue", any_ue),
-            ],
-        ));
-        for (i, &udr) in scratch.worst_udr.iter().enumerate() {
-            if udr > 0.0 {
-                events.push(TraceEvent::new(
-                    "campaign",
-                    "policy_udr",
-                    obs_fields![
-                        ("iter", iter),
-                        ("policy", policy_label(policy_refs[i])),
-                        ("udr", udr),
-                    ],
-                ));
+    any_ue
+}
+
+/// Computes the given accumulation blocks of a Monte Carlo job: each
+/// iteration draws `config`'s fault history, every scheme is judged
+/// against it, and `sink` turns each iteration with faults into the
+/// block's events.
+///
+/// A block's partials depend only on `(config, schemes, block)` — never
+/// on which worker or node computed it — so any partition of the block
+/// list over threads (here) or fleet workers (`svc::fleet`) yields
+/// bit-identical partials. Returned sorted by block index.
+pub(crate) fn run_iter_blocks<E: Send>(
+    config: &CampaignConfig,
+    schemes: &[SchemeLoss<'_>],
+    block_ids: &[u64],
+    sink: impl Fn(&Iteration<'_>, &mut Vec<E>) + Sync,
+) -> Vec<IterBlock<E>> {
+    let layout = config.build_layout();
+    let geometry = config.build_geometry(&layout);
+    let rates = config.rates.scaled_to(config.fit_per_chip);
+    let model =
+        ResilienceModel::new(&layout, &geometry).with_correctable_chips(config.correctable_chips);
+    let data_lines = layout.data_lines();
+    let new_scratch = || IterScratch {
+        history: Vec::new(),
+        live: Vec::new(),
+        chips: Vec::new(),
+        worst_udr: vec![0.0; schemes.len()],
+    };
+    fan_out_blocks(block_ids, config.threads, new_scratch, |scratch, block| {
+        let lo = block * ITERATION_BLOCK;
+        let hi = (lo + ITERATION_BLOCK).min(config.iterations);
+        let mut acc = Accumulator::new(schemes.len());
+        let mut events = Vec::new();
+        for iter in lo..hi {
+            let mut rng = StdRng::seed_from_u64(stream_seed(config.seed, iter));
+            sample_fault_history_into(
+                &mut rng,
+                &geometry,
+                &rates,
+                config.hours,
+                &mut scratch.history,
+            );
+            if scratch.history.is_empty() {
+                continue;
             }
+            let any_ue = assess_iteration(config, &model, data_lines, schemes, scratch, &mut acc);
+            let it = Iteration {
+                iter,
+                faults: scratch.history.len(),
+                any_ue,
+                udr: &scratch.worst_udr,
+            };
+            sink(&it, &mut events);
         }
-    }
+        IterBlock { block, acc, events }
+    })
 }
 
 /// Runs a campaign, evaluating every policy against identical fault sets.
@@ -669,56 +706,44 @@ pub fn run_campaign_traced(
 /// when `config.trace` is off).
 pub(crate) type CampaignBlock = IterBlock<TraceEvent>;
 
-/// Computes the partial sums of the given accumulation blocks.
-///
-/// A block's partials depend only on `(config, policies, block)` — never
-/// on which worker or node computed it — so any partition of the block
-/// list over threads (here) or fleet workers (`svc::fleet`) yields
-/// bit-identical partials. Returned sorted by block index.
+/// Computes a campaign's accumulation blocks: every policy judged under
+/// the campaign tree's loss profile.
 fn run_campaign_blocks(
     config: &CampaignConfig,
     policies: &[CloningPolicy],
     block_ids: &[u64],
 ) -> Vec<CampaignBlock> {
-    let layout = config.build_layout();
-    let geometry = config.build_geometry(&layout);
-    let rates = config.rates.scaled_to(config.fit_per_chip);
-    let new_worker = || {
-        let ctx = WorkerCtx {
-            config,
-            layout: &layout,
-            geometry: &geometry,
-            rates: &rates,
-            model: ResilienceModel::new(&layout, &geometry)
-                .with_correctable_chips(config.correctable_chips)
-                .with_tree(config.tree),
-            policy_refs: policies.iter().collect(),
-        };
-        (ctx, IterScratch::new(policies.len()))
-    };
-    fan_out_blocks(
-        block_ids,
-        config.threads,
-        new_worker,
-        |(ctx, scratch), block| {
-            let lo = block * ITERATION_BLOCK;
-            let hi = (lo + ITERATION_BLOCK).min(config.iterations);
-            let mut acc = Accumulator::new(policies.len());
-            let mut events = Vec::new();
-            for iter in lo..hi {
-                let mut rng = StdRng::seed_from_u64(stream_seed(config.seed, iter));
-                simulate_iteration(
-                    &mut rng,
-                    ctx,
-                    scratch,
-                    &mut acc,
-                    iter,
-                    config.trace.then_some(&mut events),
-                );
+    let schemes = config.schemes(policies);
+    run_iter_blocks(config, &schemes, block_ids, |it, events| {
+        if !config.trace {
+            return;
+        }
+        // Seed provenance: the exact RNG stream this iteration drew from,
+        // so any single iteration can be replayed in isolation.
+        events.push(TraceEvent::new(
+            "campaign",
+            "iteration",
+            obs_fields![
+                ("iter", it.iter),
+                ("seed", Field::Hex(stream_seed(config.seed, it.iter))),
+                ("faults", it.faults),
+                ("ue", it.any_ue),
+            ],
+        ));
+        for (policy, &udr) in policies.iter().zip(it.udr) {
+            if udr > 0.0 {
+                events.push(TraceEvent::new(
+                    "campaign",
+                    "policy_udr",
+                    obs_fields![
+                        ("iter", it.iter),
+                        ("policy", policy_label(policy)),
+                        ("udr", udr),
+                    ],
+                ));
             }
-            IterBlock { block, acc, events }
-        },
-    )
+        }
+    })
 }
 
 /// Folds block partials (in block order) into the final results and

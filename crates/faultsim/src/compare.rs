@@ -3,13 +3,11 @@
 //! Every scheme registered in [`soteria::policy::standard_schemes`] is
 //! swept over **identical** workloads, in two halves:
 //!
-//! * **Resilience** — the Monte Carlo fault campaign, re-using the exact
-//!   per-iteration seed streams of the main campaign
-//!   (`stream_seed(seed, i)`) and the fixed [`ITERATION_BLOCK`]
-//!   accumulation blocks, but assessing every scheme's
-//!   [`soteria::LossProfile`] through
-//!   [`ResilienceModel::assess_schemes`]. Paired comparison: one fault
-//!   history per iteration, all schemes judged against it.
+//! * **Resilience** — the campaign's Monte Carlo iteration itself (the
+//!   same per-iteration seed streams `stream_seed(seed, i)` and fixed
+//!   [`ITERATION_BLOCK`] accumulation blocks), run over every scheme's
+//!   cloning policy and [`soteria::LossProfile`]. Paired comparison: one
+//!   fault history per iteration, all schemes judged against it.
 //! * **Slowdown** — one deterministic write/read trace per scheme (the
 //!   same seeded operation stream for all of them) through a real
 //!   controller built from the scheme's trait config, costed with the
@@ -24,7 +22,7 @@
 //! campaign and crashck artifacts carry, and what the CI compare-smoke
 //! job checks with `cmp`.
 
-use soteria::analysis::{ResilienceModel, SchemeLoss};
+use soteria::analysis::SchemeLoss;
 use soteria::clone::CloningPolicy;
 use soteria::config::TreeUpdate;
 use soteria::policy::{standard_schemes, ProtectionPolicy, RecoveryStrategy};
@@ -33,12 +31,9 @@ use soteria_rt::json::Json;
 use soteria_rt::rng::{stream_seed, StdRng};
 use soteria_rt::thread::parallel_map;
 
-use crate::campaign::{
-    sample_fault_history_into, Accumulator, CampaignConfig, IterBlock, ITERATION_BLOCK,
-};
+use crate::campaign::{run_iter_blocks, Accumulator, CampaignConfig, IterBlock, ITERATION_BLOCK};
 use crate::job::{
-    fan_out_blocks, fields_of, read_count, read_positive, read_seed, run_all, unknown_field,
-    BlockJob,
+    fields_of, read_count, read_positive, read_seed, run_all, unknown_field, BlockJob,
 };
 use crate::FIVE_YEARS_HOURS;
 
@@ -393,90 +388,34 @@ impl BlockJob for CompareConfig {
     }
 
     fn run_blocks(&self, block_ids: &[u64]) -> Vec<CompareBlock> {
-        let config = self;
-        let schemes = standard_schemes();
-        let campaign = config.campaign();
-        let layout = campaign.build_layout();
-        let geometry = campaign.build_geometry(&layout);
-        let rates = campaign.rates.scaled_to(campaign.fit_per_chip);
-        let correctable_chips = campaign.correctable_chips;
-        let clonings: Vec<CloningPolicy> = schemes.iter().map(|s| s.cloning()).collect();
-        let profiles: Vec<SchemeLoss<'_>> = clonings
+        let registry = standard_schemes();
+        let clonings: Vec<CloningPolicy> = registry.iter().map(|s| s.cloning()).collect();
+        let schemes: Vec<SchemeLoss<'_>> = clonings
             .iter()
-            .zip(schemes.iter())
+            .zip(registry)
             .map(|(cloning, scheme)| SchemeLoss {
                 cloning,
                 profile: scheme.loss_profile(),
             })
             .collect();
-
-        let data_lines = layout.data_lines();
-        let new_worker = || {
-            let model = ResilienceModel::new(&layout, &geometry);
-            (model, Vec::new(), Vec::new(), Vec::<u32>::new())
-        };
-        fan_out_blocks(block_ids, config.threads, new_worker, |scratch, block| {
-            let (model, history, live, chips) = scratch;
-            let lo = block * ITERATION_BLOCK;
-            let hi = (lo + ITERATION_BLOCK).min(config.iterations);
-            let mut acc = Accumulator::new(schemes.len());
-            let mut events = Vec::new();
-            for iter in lo..hi {
-                let mut rng = StdRng::seed_from_u64(stream_seed(config.seed, iter));
-                sample_fault_history_into(&mut rng, &geometry, &rates, config.hours, history);
-                if history.is_empty() {
-                    continue;
-                }
-                acc.iterations_with_faults += 1;
-                live.clear();
-                live.extend(history.iter().map(|t| t.record.clone()));
-                chips.clear();
-                for f in live.iter() {
-                    for &c in &f.chips {
-                        if !chips.contains(&c) {
-                            chips.push(c);
-                        }
-                    }
-                }
-                if chips.len() <= correctable_chips {
-                    continue; // Chipkill corrects any single chip.
-                }
-                let assessments = model.assess_schemes(live, &profiles);
-                let mut any_ue = false;
-                for (i, a) in assessments.iter().enumerate() {
-                    if a.error_data_lines > 0 || a.unverifiable_data_lines > 0 {
-                        any_ue = true;
-                    }
-                    if i == 0 {
-                        acc.error_ratio_sum += a.error_ratio(data_lines);
-                    }
-                    let udr = a.udr(data_lines);
-                    if udr > 0.0 {
-                        acc.udr_sum[i] += udr;
-                        acc.udr_hits[i] += 1;
-                        events.push(
-                            Json::Obj(vec![
-                                ("event".into(), Json::Str("scheme_udr".into())),
-                                ("iter".into(), Json::Num(iter as f64)),
-                                (
-                                    "seed".into(),
-                                    Json::Str(format!(
-                                        "{:#018x}",
-                                        stream_seed(config.seed, iter)
-                                    )),
-                                ),
-                                ("scheme".into(), Json::Str(schemes[i].name().into())),
-                                ("udr".into(), Json::Num(udr)),
-                            ])
-                            .to_string(),
-                        );
-                    }
-                }
-                if any_ue {
-                    acc.iterations_with_ue += 1;
+        run_iter_blocks(&self.campaign(), &schemes, block_ids, |it, events| {
+            for (scheme, &udr) in registry.iter().zip(it.udr) {
+                if udr > 0.0 {
+                    events.push(
+                        Json::Obj(vec![
+                            ("event".into(), Json::Str("scheme_udr".into())),
+                            ("iter".into(), Json::Num(it.iter as f64)),
+                            (
+                                "seed".into(),
+                                Json::Str(format!("{:#018x}", stream_seed(self.seed, it.iter))),
+                            ),
+                            ("scheme".into(), Json::Str(scheme.name().into())),
+                            ("udr".into(), Json::Num(udr)),
+                        ])
+                        .to_string(),
+                    );
                 }
             }
-            IterBlock { block, acc, events }
         })
     }
 

@@ -23,13 +23,12 @@
 //!   merges the documents ([`AnyJob::merge_partials`]). Both paths end
 //!   in the same `merge`.
 
-use soteria::analysis::TreeKind;
 use soteria::clone::CloningPolicy;
 use soteria_rt::json::Json;
 use soteria_rt::obs::TraceBuffer;
 use soteria_rt::thread::fan_out;
 
-use crate::campaign::{run_campaign_traced, CampaignConfig, PolicyResult};
+use crate::campaign::{run_campaign_traced, CampaignConfig, PolicyResult, TreeKind};
 use crate::shard::{u64_wire, BLOCKS_SCHEMA};
 
 /// The three schemes every campaign artifact reports, in table order —

@@ -36,7 +36,7 @@ pub mod shard;
 
 pub use campaign::{
     run_campaign, run_campaign_traced, sample_fault_history, sample_fault_set, CampaignConfig,
-    PolicyResult, TimedFault,
+    PolicyResult, TimedFault, TreeKind,
 };
 pub use compare::{compare_config_from_json, run_compare, CompareConfig, CompareOutput, SchemeRow};
 pub use crashck::{

@@ -89,10 +89,9 @@ pub fn estimate_clone_udr(
         lambda_large += fit * config.hours / 1e9 * population;
     }
 
-    let model = ResilienceModel::new(&layout, &geometry)
-        .with_correctable_chips(config.correctable_chips)
-        .with_tree(config.tree);
-    let policy_refs: Vec<&CloningPolicy> = policies.iter().collect();
+    let model =
+        ResilienceModel::new(&layout, &geometry).with_correctable_chips(config.correctable_chips);
+    let schemes = config.schemes(policies);
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x4a5e_e4a5);
 
     let mut conditional: Vec<Vec<f64>> = vec![Vec::new(); policies.len()];
@@ -100,7 +99,7 @@ pub fn estimate_clone_udr(
         let mut sums = vec![0.0f64; policies.len()];
         for _ in 0..samples_per_k {
             let faults = sample_fault_set_filtered(&mut rng, &geometry, &rates, config.hours, k);
-            let assessments = model.assess_many(&faults, &policy_refs);
+            let assessments = model.assess(&faults, &schemes);
             for (i, a) in assessments.iter().enumerate() {
                 sums[i] += a.udr(layout.data_lines());
             }

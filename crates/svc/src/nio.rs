@@ -181,7 +181,13 @@ impl Conn {
             ),
             Ok(None) => Next::Keep,
             Err(err @ SvcError::PayloadTooLarge { what: "body", .. }) => {
-                let budget = drain_budget(&self.buf).min(1 << 20);
+                // Drain at most 1 MiB past the body limit: any body up to
+                // that size (a full body one byte over the limit too) is
+                // read before the 413, so its sender gets the answer and
+                // not a reset, while a larger declared length costs the
+                // server no more than that before the close.
+                let cap = limits.max_body_bytes.saturating_add(1 << 20);
+                let budget = drain_budget(&self.buf).min(cap);
                 if budget == 0 || closed {
                     self.respond(handler, "/", Err(err))
                 } else {

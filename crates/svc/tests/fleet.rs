@@ -216,6 +216,17 @@ fn control_plane_answers_every_route_while_a_client_is_silent() {
     let mut raw = String::new();
     oversized.read_to_string(&mut raw).unwrap();
     assert!(raw.starts_with("HTTP/1.1 413 "), "{raw}");
+    // A body one byte over the 1 MiB default, sent in full after the head
+    // arrived alone, is drained whole: the client reads the 413, not a
+    // connection reset.
+    let mut full = TcpStream::connect(control).unwrap();
+    full.write_all(b"POST /v1/fleet/register HTTP/1.1\r\nContent-Length: 1048577\r\n\r\n")
+        .unwrap();
+    thread::sleep(Duration::from_millis(50));
+    full.write_all(&vec![b'x'; 1_048_577]).unwrap();
+    let mut raw = String::new();
+    full.read_to_string(&mut raw).unwrap();
+    assert!(raw.starts_with("HTTP/1.1 413 "), "{raw}");
     drop(silent);
 
     // A registered address that accepts nothing meets the quorum and

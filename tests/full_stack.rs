@@ -88,7 +88,7 @@ fn campaign_fault_sets_agree_with_symbolic_device() {
     let mut checked = 0;
     for _ in 0..20 {
         let faults = sample_fault_set(&mut rng, &geometry, &rates, config.hours);
-        let assessment = model.assess(&faults, &policy);
+        let assessment = model.assess_policy(&faults, &policy);
         let mut device = NvmDimm::symbolic(geometry, 1);
         for f in &faults {
             device.inject_fault(f.clone());
@@ -191,7 +191,7 @@ fn analysis_lost_blocks_match_device_reads_exactly() {
     let mut nontrivial = 0;
     for round in 0..12 {
         let faults = sample_fault_set(&mut rng, &geometry, &rates, 43_800.0);
-        let assessment = model.assess(&faults, &policy);
+        let assessment = model.assess_policy(&faults, &policy);
         let mut device = NvmDimm::symbolic(geometry, 1);
         for f in &faults {
             device.inject_fault(f.clone());

@@ -17,7 +17,7 @@ use soteria::{
     scheme_by_name, standard_schemes, DataAddr, ProtectionPolicy, SecureMemoryController,
 };
 use soteria_faultsim::campaign::CampaignConfig;
-use soteria_faultsim::{report_json, run_campaign_traced};
+use soteria_faultsim::{report_json, run_campaign_traced, run_compare, CompareConfig};
 
 fn golden(name: &str) -> String {
     let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -53,6 +53,35 @@ fn campaign_fixture_replays_through_registry_policies() {
         trace.export_ndjson(),
         golden("campaign_seed0xc1.ndjson"),
         "registry-derived campaign trace drifted from the golden fixture"
+    );
+}
+
+/// The compare fixture — captured with `soteria compare --fit 3000
+/// --iterations 256 --seed 0xc1 --trace_ops 256 --threads 3 --json ...
+/// --ndjson ...` — replayed at one thread. At FIT 3000 several of its
+/// fault sets defeat Chipkill only in bank-wide regions, so the fixture
+/// pins each registry scheme's loss profile on bank-scale faults as well
+/// as on row/column ones.
+#[test]
+fn compare_fixture_replays_through_the_registry_profiles() {
+    let config = CompareConfig {
+        fit_per_chip: 3000.0,
+        iterations: 256,
+        seed: 0xc1,
+        threads: 1,
+        trace_ops: 256,
+        ..CompareConfig::default()
+    };
+    let out = run_compare(&config);
+    assert_eq!(
+        out.result_json,
+        golden("compare_seed0xc1.json"),
+        "compare result JSON drifted from the golden fixture"
+    );
+    assert_eq!(
+        out.ndjson,
+        golden("compare_seed0xc1.ndjson"),
+        "compare NDJSON drifted from the golden fixture"
     );
 }
 
